@@ -2,12 +2,11 @@
    (Fig. 1, Fig. 2, the Sec. 2 narratives, plus the RCSE and budget
    ablations) and runs Bechamel microbenchmarks of the actual recorders.
 
-   Usage: main.exe [fig1|fig2|sec2|ablation|budget|flight|race|search|sanity|crash|governor|static|dist|obs|open|micro|all]
-                   [--tiny] [--jobs N] [--json]
+   Usage: main.exe [fig1|fig2|sec2|ablation|budget|flight|race|search|crash|governor|static|dist|obs|open|micro|all]
+                   [--tiny] [--json]
 
    --tiny   shrinks every budget so the command finishes in seconds (used
             by the bench-smoke alias under `dune runtest`)
-   --jobs N times the search engines at N worker domains as well as at 1
    --json   (search/crash/governor/static) also writes BENCH_search.json /
             BENCH_crash.json / BENCH_governor.json / BENCH_static.json
             (static writes its JSON unconditionally when not --tiny) *)
@@ -123,22 +122,15 @@ let micro () =
     body
 
 (* ------------------------------------------------------------------ *)
-(* SEARCH: wall-clock of the inference engines under the lock-free
-   scheduler. Per workload/engine: a sequential baseline, a jobs=N row
-   under the default tuning (cap_domains clamps N to the machine's
-   cores), and an uncapped jobs=N row that is honestly labelled
-   "contended" when it oversubscribes the machine — oversubscribed rows
-   measure scheduler overhead, not speedup. Also: a chunk-size sweep of
-   the claim granularity and AST-vs-compiled interpreter ns/step rows.
-   Optionally dumps machine-readable results to BENCH_search.json
-   (schema 2). *)
+(* SEARCH: wall-clock of the sequential inference engines per workload,
+   the measured DFS pruning factor, and AST-vs-compiled interpreter
+   ns/step rows. Optionally dumps machine-readable results, stamped with
+   the host (cores, OCaml version, tiny), to BENCH_search.json
+   (schema 3). *)
 
 type search_row = {
   workload : string;
   engine : string;
-  sr_jobs : int;  (** requested *)
-  sr_eff : int;  (** domains actually fanned out (cap policy applied) *)
-  sr_mode : string;  (** sequential | parallel | capped | contended *)
   wall_s : float;
   stats : Ddet_replay.Search.stats;
 }
@@ -210,15 +202,12 @@ let interp_bench ~tiny () =
       { ir_program; ir_steps; ast_ns = per !best_a; comp_ns = per !best_c })
     progs
 
-let search_bench ~tiny ~jobs ~json () =
+let search_bench ~tiny ~json () =
   let open Ddet_replay in
   let open Mvm in
   let budget full small = if tiny then small else full in
   let trials = if tiny then 1 else 3 in
   let cores = Domain.recommended_domain_count () in
-  let uncapped =
-    { Par_search.default_tuning with Par_search.cap_domains = false }
-  in
   let miniht = Miniht.app () in
   let cases =
     [
@@ -264,16 +253,13 @@ let search_bench ~tiny ~jobs ~json () =
         let engines =
           [
             ( "dfs-pruned",
-              fun tuning j ->
-                Par_search.dfs_schedules ~jobs:j ~tuning bud ~spec ~accept
-                  labeled );
+              fun () -> Search.dfs_schedules bud ~spec ~accept labeled );
             ( "dfs-noprune",
-              fun tuning j ->
-                Par_search.dfs_schedules ~jobs:j ~tuning ~prune:false bud
-                  ~spec ~accept labeled );
+              fun () ->
+                Search.dfs_schedules ~prune:false bud ~spec ~accept labeled );
             ( "restarts",
-              fun tuning j ->
-                Par_search.random_restarts ~jobs:j ~tuning bud
+              fun () ->
+                Search.random_restarts bud
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
           ]
@@ -284,68 +270,14 @@ let search_bench ~tiny ~jobs ~json () =
   let rows =
     List.concat_map
       (fun (workload, engines) ->
-        List.concat_map
+        List.map
           (fun (engine, run) ->
-            let measure ~sr_mode ~tuning j =
-              let o, wall_s = min_time ~trials (fun () -> run tuning j) in
-              {
-                workload; engine; sr_jobs = j;
-                sr_eff = Par_search.effective_jobs ~tuning ~jobs:j None;
-                sr_mode; wall_s; stats = o.Search.stats;
-              }
-            in
-            let seq =
-              measure ~sr_mode:"sequential"
-                ~tuning:Par_search.default_tuning 1
-            in
-            if jobs <= 1 then [ seq ]
-            else
-              let eff = Par_search.effective_jobs ~jobs None in
-              let capped =
-                measure
-                  ~sr_mode:(if eff < jobs then "capped" else "parallel")
-                  ~tuning:Par_search.default_tuning jobs
-              in
-              let unc =
-                measure
-                  ~sr_mode:(if jobs > cores then "contended" else "parallel")
-                  ~tuning:uncapped jobs
-              in
-              [ seq; capped; unc ])
+            let o, wall_s = min_time ~trials run in
+            { workload; engine; wall_s; stats = o.Search.stats })
           engines)
       prepared
   in
-  (* chunk sweep: claim granularity at uncapped jobs=N, one engine per
-     pool flavour (restarts = indexed pool, dfs-pruned = chain pool) *)
-  let chunks = if tiny then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ] in
-  let sweep =
-    if jobs <= 1 then []
-    else
-      List.concat_map
-        (fun (workload, engines) ->
-          List.concat_map
-            (fun (engine, run) ->
-              if engine = "dfs-noprune" then []
-              else
-                List.map
-                  (fun chunk ->
-                    let tuning = { uncapped with Par_search.chunk } in
-                    let o, wall_s = time (fun () -> run tuning jobs) in
-                    ( workload, engine, chunk, wall_s,
-                      o.Search.stats.Ddet_replay.Search.success ))
-                  chunks)
-            engines)
-        prepared
-  in
   let interp = interp_bench ~tiny () in
-  let base r =
-    List.find
-      (fun b ->
-        b.workload = r.workload && b.engine = r.engine
-        && b.sr_mode = "sequential")
-      rows
-  in
-  let speedup r = (base r).wall_s /. r.wall_s in
   let attempts_per_s r =
     float_of_int r.stats.Ddet_replay.Search.attempts /. r.wall_s
   in
@@ -354,14 +286,10 @@ let search_bench ~tiny ~jobs ~json () =
     r.wall_s *. 1e9 /. float_of_int steps
   in
   (* measured pruning factor: DFS machine-steps burned without pruning
-     over steps burned with it, same workload, sequential *)
+     over steps burned with it, same workload *)
   let pruning_factor workload =
     let steps engine =
-      List.find
-        (fun r ->
-          r.workload = workload && r.engine = engine
-          && r.sr_mode = "sequential")
-        rows
+      List.find (fun r -> r.workload = workload && r.engine = engine) rows
       |> fun r -> float_of_int (max 1 r.stats.Ddet_replay.Search.total_steps)
     in
     steps "dfs-noprune" /. steps "dfs-pruned"
@@ -370,8 +298,7 @@ let search_bench ~tiny ~jobs ~json () =
     List.map
       (fun r ->
         [
-          r.workload; r.engine; string_of_int r.sr_jobs;
-          string_of_int r.sr_eff; r.sr_mode;
+          r.workload; r.engine;
           Printf.sprintf "%.3f" r.wall_s;
           (if r.stats.Ddet_replay.Search.success then "yes" else "NO");
           string_of_int r.stats.Ddet_replay.Search.attempts;
@@ -379,26 +306,19 @@ let search_bench ~tiny ~jobs ~json () =
           string_of_int r.stats.Ddet_replay.Search.total_steps;
           Printf.sprintf "%.0f" (attempts_per_s r);
           Printf.sprintf "%.0f" (ns_per_step r);
-          Printf.sprintf "%.2f" (speedup r);
         ])
       rows
   in
   let body =
     Ddet_metrics.Report.table
       ~headers:
-        [ "workload"; "engine"; "jobs"; "eff"; "mode"; "wall s"; "ok";
-          "attempts"; "pruned"; "steps"; "att/s"; "ns/step"; "speedup" ]
+        [ "workload"; "engine"; "wall s"; "ok"; "attempts"; "pruned";
+          "steps"; "att/s"; "ns/step" ]
       table_rows
     ^ Printf.sprintf
-        "\n\ncores: %d (Domain.recommended_domain_count); wall s is the min\n\
-         of %d runs. eff is the domain count after the default cap policy\n\
-         (capped rows were clamped to the cores); contended rows switch the\n\
-         cap off and oversubscribe the machine on purpose - they price\n\
-         scheduler overhead, not speedup. Outcomes (ok/attempts/pruned/\n\
-         steps) are identical at every jobs value by construction. Pruning\n\
-         factor (DFS steps without pruning / with pruning, sequential):\n\
-         %s.\n"
-        cores trials
+        "\n\nhost: %d cores, OCaml %s; wall s is the min of %d runs.\n\
+         Pruning factor (DFS steps without pruning / with pruning): %s.\n"
+        cores Sys.ocaml_version trials
         (String.concat ", "
            (List.map
               (fun (w, _, _, _) ->
@@ -406,17 +326,6 @@ let search_bench ~tiny ~jobs ~json () =
               cases))
   in
   Ddet_metrics.Report.print_section "SEARCH engine wall-clock" body;
-  if sweep <> [] then
-    Ddet_metrics.Report.print_section "SEARCH chunk sweep (uncapped)"
-      (Ddet_metrics.Report.table
-         ~headers:[ "workload"; "engine"; "chunk"; "wall s"; "ok" ]
-         (List.map
-            (fun (w, e, c, s, ok) ->
-              [
-                w; e; string_of_int c; Printf.sprintf "%.3f" s;
-                (if ok then "yes" else "NO");
-              ])
-            sweep));
   Ddet_metrics.Report.print_section "SEARCH interpreter ns/step"
     (Ddet_metrics.Report.table
        ~headers:[ "program"; "steps"; "AST ns"; "compiled ns"; "ratio" ]
@@ -438,22 +347,15 @@ let search_bench ~tiny ~jobs ~json () =
     let oc = open_out file in
     let row_json r =
       Printf.sprintf
-        "    { \"workload\": %S, \"engine\": %S, \"jobs\": %d, \
-         \"jobs_effective\": %d, \"mode\": %S, \"wall_s\": %.6f, \
+        "    { \"workload\": %S, \"engine\": %S, \"wall_s\": %.6f, \
          \"success\": %b, \"attempts\": %d, \"pruned\": %d, \
          \"steps\": %d, \"attempts_per_s\": %.1f, \
-         \"ns_per_step\": %.1f, \"speedup_vs_1\": %.3f }"
-        r.workload r.engine r.sr_jobs r.sr_eff r.sr_mode r.wall_s
+         \"ns_per_step\": %.1f }"
+        r.workload r.engine r.wall_s
         r.stats.Ddet_replay.Search.success r.stats.Ddet_replay.Search.attempts
         r.stats.Ddet_replay.Search.pruned
         r.stats.Ddet_replay.Search.total_steps (attempts_per_s r)
-        (ns_per_step r) (speedup r)
-    in
-    let sweep_json (w, e, c, s, ok) =
-      Printf.sprintf
-        "    { \"workload\": %S, \"engine\": %S, \"chunk\": %d, \
-         \"wall_s\": %.6f, \"success\": %b }"
-        w e c s ok
+        (ns_per_step r)
     in
     let interp_json r =
       Printf.sprintf
@@ -462,114 +364,22 @@ let search_bench ~tiny ~jobs ~json () =
          \"ratio\": %.3f }"
         r.ir_program r.ir_steps r.ast_ns r.comp_ns (r.comp_ns /. r.ast_ns)
     in
-    let t = Par_search.default_tuning in
     Printf.fprintf oc
-      "{\n  \"schema\": 2,\n  \"cores\": %d,\n  \"jobs\": %d,\n\
+      "{\n  \"schema\": 3,\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n\
        \  \"tiny\": %b,\n  \"trials\": %d,\n\
-       \  \"policy\": \"default tuning caps jobs at cores \
-       (capped rows); contended rows switch the cap off and \
-       oversubscribe on purpose - they price scheduler overhead, not \
-       speedup\",\n\
-       \  \"tuning_default\": { \"chunk\": %d, \
-       \"window_per_job\": %d, \"spawn_cost_steps\": %d },\n\
        \  \"pruning_step_factor\": { %s },\n  \"interp\": [\n%s\n  ],\n\
-       \  \"rows\": [\n%s\n  ],\n  \"chunk_sweep\": [\n%s\n  ]\n}\n"
-      cores jobs tiny trials t.Par_search.chunk t.Par_search.window_per_job
-      t.Par_search.spawn_cost_steps
+       \  \"rows\": [\n%s\n  ]\n}\n"
+      cores Sys.ocaml_version tiny trials
       (String.concat ", "
          (List.map
             (fun (w, _, _, _) ->
               Printf.sprintf "%S: %.3f" w (pruning_factor w))
             cases))
       (String.concat ",\n" (List.map interp_json interp))
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map sweep_json sweep));
+      (String.concat ",\n" (List.map row_json rows));
     close_out oc;
     Printf.printf "wrote %s\n" file
   end
-
-(* ------------------------------------------------------------------ *)
-(* SANITY: the CI tripwire behind the perf-sanity alias. On smoke
-   budgets, jobs=4 under the *default* tuning (cap policy on) must stay
-   within 2x of sequential wall-clock and byte-identical in outcome -
-   on a small box the cap makes this trivially true (jobs clamp to the
-   cores), on a big one it catches a scheduler regression. Exits 1 on
-   violation. *)
-
-let sanity () =
-  let open Ddet_replay in
-  let open Mvm in
-  let miniht = Miniht.app () in
-  let bud =
-    { Search.max_attempts = 60; max_steps_per_attempt = 2_000;
-      base_seed = 1; deadline_s = None }
-  in
-  let cases =
-    [
-      ("racy-counter", Experiment.racy_counter, Experiment.racy_counter_spec);
-      ("miniht", miniht.App.labeled, miniht.App.spec);
-    ]
-  in
-  let same (a : Search.outcome) (b : Search.outcome) =
-    a.Search.result = b.Search.result
-    && a.Search.partial = b.Search.partial
-    && a.Search.stats.Search.attempts = b.Search.stats.Search.attempts
-    && a.Search.stats.Search.total_steps = b.Search.stats.Search.total_steps
-    && a.Search.stats.Search.pruned = b.Search.stats.Search.pruned
-  in
-  let violations = ref 0 in
-  List.iter
-    (fun (workload, labeled, spec) ->
-      let seed =
-        let rec scan s =
-          if s > 500 then invalid_arg ("no failing seed for " ^ workload)
-          else
-            let r =
-              Mvm.Spec.apply spec
-                (Mvm.Interp.run labeled (World.random ~seed:s))
-            in
-            if r.Mvm.Interp.failure <> None then s else scan (s + 1)
-        in
-        scan 1
-      in
-      let _, log =
-        Recorder.record (Failure_recorder.create ()) labeled ~spec
-          ~world:(World.random ~seed)
-      in
-      let accept = Constraints.failure_matches log in
-      let engines =
-        [
-          ( "dfs-pruned",
-            fun j -> Par_search.dfs_schedules ~jobs:j bud ~spec ~accept
-                       labeled );
-          ( "restarts",
-            fun j ->
-              Par_search.random_restarts ~jobs:j bud
-                ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
-                ~spec ~accept labeled );
-        ]
-      in
-      List.iter
-        (fun (engine, run) ->
-          let seq, seq_s = min_time ~trials:3 (fun () -> run 1) in
-          let par, par_s = min_time ~trials:3 (fun () -> run 4) in
-          let parity = same seq par in
-          (* 10ms absolute slack: sub-millisecond walls are all noise *)
-          let fast_enough = par_s <= (2.0 *. seq_s) +. 0.010 in
-          Printf.printf
-            "%-14s %-11s seq %.4fs  jobs=4 %.4fs (%.2fx)  parity %s  %s\n"
-            workload engine seq_s par_s (par_s /. seq_s)
-            (if parity then "yes" else "NO")
-            (if parity && fast_enough then "ok" else "VIOLATION");
-          if not (parity && fast_enough) then incr violations)
-        engines)
-    cases;
-  if !violations > 0 then begin
-    Printf.eprintf "perf-sanity: %d violation(s)\n" !violations;
-    exit 1
-  end;
-  Printf.printf "perf-sanity: ok (cores: %d)\n"
-    (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
 (* CRASH: checkpoint overhead and resume cost. Measures the wall-clock
@@ -652,12 +462,12 @@ let crash_bench ~tiny ~json () =
           [
             ( "restarts",
               fun ?checkpoint ?resume b ->
-                Par_search.random_restarts ?checkpoint ?resume b
+                Search.random_restarts ?checkpoint ?resume b
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
             ( "dfs-pruned",
               fun ?checkpoint ?resume b ->
-                Par_search.dfs_schedules ?checkpoint ?resume b ~spec ~accept
+                Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept
                   labeled );
           ]
         in
@@ -1634,19 +1444,17 @@ let tiny_config =
   }
 
 let () =
-  let rec parse (cmd, tiny, json, jobs) = function
-    | [] -> (cmd, tiny, json, jobs)
-    | "--tiny" :: rest -> parse (cmd, true, json, jobs) rest
-    | "--json" :: rest -> parse (cmd, tiny, true, jobs) rest
-    | ("--jobs" | "-j") :: n :: rest ->
-      parse (cmd, tiny, json, int_of_string n) rest
-    | arg :: rest when cmd = None -> parse (Some arg, tiny, json, jobs) rest
+  let rec parse (cmd, tiny, json) = function
+    | [] -> (cmd, tiny, json)
+    | "--tiny" :: rest -> parse (cmd, true, json) rest
+    | "--json" :: rest -> parse (cmd, tiny, true) rest
+    | arg :: rest when cmd = None -> parse (Some arg, tiny, json) rest
     | arg :: _ ->
       Printf.eprintf "unexpected argument %S\n" arg;
       exit 2
   in
-  let cmd, tiny, json, jobs =
-    parse (None, false, false, 1) (List.tl (Array.to_list Sys.argv))
+  let cmd, tiny, json =
+    parse (None, false, false) (List.tl (Array.to_list Sys.argv))
   in
   let cmd = Option.value ~default:"all" cmd in
   let config = if tiny then tiny_config else Config.default in
@@ -1664,12 +1472,11 @@ let () =
   | "budget" -> print (Experiment.budget_sweep ())
   | "flight" -> print (Experiment.flight_sweep ())
   | "race" -> print (Experiment.race_detectors ())
-  | "search" when tiny || json || jobs > 1 -> search_bench ~tiny ~jobs ~json ()
+  | "search" when tiny || json -> search_bench ~tiny ~json ()
   | "search" ->
     print (Experiment.search_engines ~config ());
-    search_bench ~tiny ~jobs ~json ()
+    search_bench ~tiny ~json ()
   | "crash" -> crash_bench ~tiny ~json ()
-  | "sanity" -> sanity ()
   | "governor" -> governor_bench ~tiny ~json ()
   | "dist" -> dist_bench ~tiny ~json ()
   | "obs" -> obs_bench ~tiny ~json ()
@@ -1685,6 +1492,6 @@ let () =
     micro ()
   | other ->
     Printf.eprintf
-      "unknown command %S (expected fig1|fig2|sec2|ablation|budget|flight|race|search|sanity|crash|governor|static|dist|obs|open|micro|all)\n"
+      "unknown command %S (expected fig1|fig2|sec2|ablation|budget|flight|race|search|crash|governor|static|dist|obs|open|micro|all)\n"
       other;
     exit 2

@@ -95,39 +95,6 @@ let faults_arg =
                $(b,noderestart:NODE:FROM-TO) — which desugar to the \
                primitives above against the app's topology.")
 
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for seed scans and searched replays. Outcomes \
-               are identical at any $(docv); only wall-clock time changes. \
-               Searches whose per-attempt cost is below the domain-spawn \
-               cost run sequentially regardless of $(docv).")
-
-let chunk_arg =
-  Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"K"
-         ~doc:"Attempt indices a parallel worker claims per grab from the \
-               shared frontier (default 4). Higher amortises contention on \
-               short attempts; lower smooths load imbalance on long ones. \
-               Wall-clock only — outcomes are identical at any $(docv).")
-
-let spawn_cost_arg =
-  Arg.(value & opt (some int) None & info [ "spawn-cost" ] ~docv:"STEPS"
-         ~doc:"Min-work threshold for parallel search, in interpreter steps \
-               (default 15000): when one attempt is estimated cheaper than \
-               this, the search runs sequentially regardless of $(b,--jobs) \
-               — fan-out would cost more than it saves. Wall-clock only.")
-
-(* fold the scheduler flags over the default knobs *)
-let tuning_of chunk spawn_cost =
-  let t = Ddet_replay.Par_search.default_tuning in
-  let t =
-    match chunk with
-    | None -> t
-    | Some k -> { t with Ddet_replay.Par_search.chunk = max 1 k }
-  in
-  match spawn_cost with
-  | None -> t
-  | Some c -> { t with Ddet_replay.Par_search.spawn_cost_steps = max 0 c }
-
 let io_faults_conv =
   Arg.conv
     ( (fun s ->
@@ -288,7 +255,7 @@ let cmd_run app seed faults =
   describe_run app (App.production_run ?faults app ~seed);
   0
 
-let config_with ?deadline ?attempts ?overhead_budget ~tuning jobs =
+let config_with ?deadline ?attempts ?overhead_budget () =
   let base = { Config.default with Config.overhead_budget } in
   let b = base.Config.budget in
   let b = { b with Ddet_replay.Search.deadline_s = deadline } in
@@ -297,18 +264,17 @@ let config_with ?deadline ?attempts ?overhead_budget ~tuning jobs =
     | None -> b
     | Some n -> { b with Ddet_replay.Search.max_attempts = n }
   in
-  { base with Config.jobs = max 1 jobs; tuning; budget = b }
+  { base with Config.budget = b }
 
-let cmd_find app cause exclusive faults jobs chunk spawn_cost checkpoint every
-    resume =
+let cmd_find app cause exclusive faults checkpoint every resume =
   guard @@ fun () ->
   let checkpoint =
     Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
   in
   with_resume resume @@ fun resume ->
   match
-    Workload.find_failing_seed ?cause ~exclusive ?faults ~jobs:(max 1 jobs)
-      ~tuning:(tuning_of chunk spawn_cost) ?checkpoint ?resume app
+    Workload.find_failing_seed ?cause ~exclusive ?faults ?checkpoint ?resume
+      app
   with
   | Some (seed, r) ->
     Printf.printf "seed %d fails:\n" seed;
@@ -450,8 +416,8 @@ let load_any ~salvage file =
    from missing/salvaged shards is still 0 — honestly-searched-around
    evidence is a success, reported as degraded DF — exhaustion with a
    best partial is 3, and an all-shards-lost set is 4. *)
-let replay_sharded app model file lose jobs chunk spawn_cost deadline
-    checkpoint every resume attempts static_steer =
+let replay_sharded app model file lose deadline checkpoint every resume
+    attempts static_steer =
   match Ddet_record.Sharded_log.load ~lose file with
   | Error msg ->
     err "cannot load %s: %s" file msg;
@@ -468,10 +434,7 @@ let replay_sharded app model file lose jobs chunk spawn_cost deadline
         Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
       in
       with_resume resume @@ fun resume ->
-      let config =
-        config_with ?deadline ?attempts ~tuning:(tuning_of chunk spawn_cost)
-          jobs
-      in
+      let config = config_with ?deadline ?attempts () in
       let prepared = Session.prepare ~config model app in
       let outcome =
         Session.replay_stitched ?checkpoint ?resume ~static_steer prepared st
@@ -485,14 +448,14 @@ let replay_sharded app model file lose jobs chunk spawn_cost deadline
       Ddet_replay.Replayer.exit_code outcome
     end
 
-let cmd_replay app model file salvage lose jobs chunk spawn_cost deadline
-    checkpoint every resume attempts static_steer =
+let cmd_replay app model file salvage lose deadline checkpoint every resume
+    attempts static_steer =
   guard @@ fun () ->
   (* detection order: a monolithic file wins, then a shard set at the
      base path, then a segmented recording *)
   if (not (Sys.file_exists file)) && Ddet_record.Sharded_log.exists file then
-    replay_sharded app model file lose jobs chunk spawn_cost deadline
-      checkpoint every resume attempts static_steer
+    replay_sharded app model file lose deadline checkpoint every resume
+      attempts static_steer
   else if lose <> [] then begin
     err "--lose-node applies to sharded recordings; %s is not one" file;
     1
@@ -511,9 +474,7 @@ let cmd_replay app model file salvage lose jobs chunk spawn_cost deadline
       Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
     in
     with_resume resume @@ fun resume ->
-    let config =
-      config_with ?deadline ?attempts ~tuning:(tuning_of chunk spawn_cost) jobs
-    in
+    let config = config_with ?deadline ?attempts () in
     let prepared = Session.prepare ~config model app in
     let outcome = Session.replay ?checkpoint ?resume prepared log in
     Format.printf "%a@." Ddet_replay.Replayer.pp_outcome outcome;
@@ -573,13 +534,10 @@ let debug_sharded ~config ?faults ~static_steer app model seed lose =
         Ddet_replay.Replayer.exit_code outcome
       end
 
-let cmd_debug app model seed replays faults jobs chunk spawn_cost deadline
-    checkpoint every resume overhead_budget shards lose static_steer =
+let cmd_debug app model seed replays faults deadline checkpoint every resume
+    overhead_budget shards lose static_steer =
   guard @@ fun () ->
-  let config =
-    config_with ?deadline ?overhead_budget ~tuning:(tuning_of chunk spawn_cost)
-      jobs
-  in
+  let config = config_with ?deadline ?overhead_budget () in
   if shards || lose <> [] then
     debug_sharded ~config ?faults ~static_steer app model seed lose
   else if static_steer then begin
@@ -845,12 +803,10 @@ let report_human ~app ~model outcome t =
     (T.counters t);
   Printf.printf "\nevents: %d (%d dropped)\n" (T.length t) (T.dropped t)
 
-let cmd_report app model seed faults jobs chunk spawn_cost overhead_budget
-    shards lose static_steer json mask trace =
+let cmd_report app model seed faults overhead_budget shards lose static_steer
+    json mask trace =
   guard @@ fun () ->
-  let config =
-    config_with ?overhead_budget ~tuning:(tuning_of chunk spawn_cost) jobs
-  in
+  let config = config_with ?overhead_budget () in
   let module T = Ddet_obs.Tracer in
   let t = T.create () in
   List.iter (fun n -> ignore (T.counter t n)) standard_counters;
@@ -915,8 +871,7 @@ let find_cmd =
     (Cmd.info "find" ~exits:search_exits
        ~doc:"Scan seeds for a failing production run.")
     Term.(const cmd_find $ app_arg $ cause_arg $ exclusive_arg $ faults_arg
-          $ jobs_arg $ chunk_arg $ spawn_cost_arg $ checkpoint_arg
-          $ checkpoint_every_arg $ resume_arg)
+          $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
 
 let record_cmd =
   Cmd.v (Cmd.info "record" ~exits ~doc:"Record a production run under a model.")
@@ -933,8 +888,7 @@ let replay_cmd =
              degrade to partial-evidence search: surviving nodes' logs \
              are enforced, lost nodes are searched.")
     Term.(const cmd_replay $ app_arg $ model_arg $ in_arg $ salvage_arg
-          $ lose_node_arg $ jobs_arg $ chunk_arg $ spawn_cost_arg
-          $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+          $ lose_node_arg $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
           $ attempts_arg $ static_steer_arg)
 
 let debug_cmd =
@@ -942,8 +896,7 @@ let debug_cmd =
     (Cmd.info "debug" ~exits:search_exits
        ~doc:"Record, replay and assess: overhead, DF, DE, DU.")
     Term.(const cmd_debug $ app_arg $ model_arg $ seed_arg $ replays_arg
-          $ faults_arg $ jobs_arg $ chunk_arg $ spawn_cost_arg $ deadline_arg
-          $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+          $ faults_arg $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
           $ overhead_budget_arg $ shards_arg $ lose_node_arg
           $ static_steer_arg)
 
@@ -1015,8 +968,7 @@ let report_cmd =
              $(b,--lose-node), the session is distributed and the profile \
              covers the stitch phase too.")
     Term.(const cmd_report $ app_arg $ model_arg $ seed_arg $ faults_arg
-          $ jobs_arg $ chunk_arg $ spawn_cost_arg $ overhead_budget_arg
-          $ shards_arg $ lose_node_arg $ static_steer_arg $ report_json_arg
+          $ overhead_budget_arg $ shards_arg $ lose_node_arg $ static_steer_arg $ report_json_arg
           $ mask_arg $ trace_arg)
 
 let analyze_cmd =

@@ -12,7 +12,6 @@ type t = {
   flight_ring : int option;
   race_config : Ddet_analysis.Race_detector.config;
   jobs : int;
-  tuning : Par_search.tuning;
   overhead_budget : float option;
 }
 
@@ -29,6 +28,5 @@ let default =
     flight_ring = Some 250;
     race_config = Ddet_analysis.Race_detector.default_config;
     jobs = 1;
-    tuning = Par_search.default_tuning;
     overhead_budget = None;
   }

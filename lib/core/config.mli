@@ -22,13 +22,9 @@ type t = {
           selections (trigger/data/combined); [None] disables it *)
   race_config : Ddet_analysis.Race_detector.config;
   jobs : int;
-      (** worker domains for searched replays and seed scans; 1 (the
-          default) keeps everything sequential. Outcomes are identical at
-          any [jobs]; only wall-clock time changes. *)
-  tuning : Par_search.tuning;
-      (** parallel-scheduler knobs (chunk size, speculation window,
-          min-work threshold, cores cap); wall-clock only, never
-          outcomes — see {!Ddet_replay.Par_search.tuning} *)
+      (** Inert: nothing reads it. Searches and seed scans are sequential.
+          The field is kept only because the session benchmark's driver
+          still sets it; it goes when that driver next changes. *)
   overhead_budget : float option;
       (** recording-overhead SLO (e.g. [Some 1.3] for "≤1.3x"): recording
           runs under an {!Ddet_record.Governor} that degrades fidelity

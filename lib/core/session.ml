@@ -150,14 +150,12 @@ let replay ?budget ?checkpoint ?resume prepared log =
   let labeled = prepared.app.App.labeled in
   let spec = prepared.app.App.spec in
   let budget = Option.value ~default:prepared.config.Config.budget budget in
-  let jobs = prepared.config.Config.jobs in
-  let tuning = prepared.config.Config.tuning in
   (* A governed log has windows where the governor dropped entries by
      design; the deterministic oracles would misalign against the gaps,
      so any model's replay degrades to failure-directed search over the
      missing windows. *)
   if Log.governed log then
-    Replayer.governed ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.governed ~budget ?checkpoint ?resume labeled ~spec log
   else
   match prepared.model with
   | Model.Perfect -> Replayer.perfect labeled ~spec log
@@ -169,20 +167,20 @@ let replay ?budget ?checkpoint ?resume prepared log =
         Ddet_replay.Search.deadline_s = budget.Ddet_replay.Search.deadline_s
       }
     in
-    Replayer.value_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.value_det ~budget ?checkpoint ?resume labeled ~spec log
   | Model.Sync ->
-    Replayer.sync_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.sync_det ~budget ?checkpoint ?resume labeled ~spec log
   | Model.Output ->
-    Replayer.output_det ~budget ~exhaustive:(not (has_spawn labeled)) ~jobs
-      ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.output_det ~budget ~exhaustive:(not (has_spawn labeled))
+      ?checkpoint ?resume labeled ~spec log
   | Model.Failure_det ->
-    Replayer.failure_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.failure_det ~budget ?checkpoint ?resume labeled ~spec log
   | Model.Rcse mode ->
     (* code-based selection records statically-chosen sites, so an
        out-of-order recorded site is real divergence; windowed selections
        revisit their sites outside the window legitimately *)
     let strict = match mode with Model.Code_based -> true | _ -> false in
-    Replayer.rcse ~budget ~strict ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.rcse ~budget ~strict ?checkpoint ?resume labeled ~spec log
 
 (* The app's distributed static report (None for single-node apps).
    Computed per call: analysis cost is a few graph walks, and sessions
@@ -227,8 +225,7 @@ let replay_stitched ?budget ?checkpoint ?resume ?(static_steer = false)
     @@ fun () ->
     let budget = Option.value ~default:prepared.config.Config.budget budget in
     let steer = if static_steer then steer_of prepared st else None in
-    Replayer.stitched ~budget ~jobs:prepared.config.Config.jobs
-      ~tuning:prepared.config.Config.tuning ?checkpoint ?resume ?steer
+    Replayer.stitched ~budget ?checkpoint ?resume ?steer
       prepared.app.App.labeled ~spec:prepared.app.App.spec st
 
 let assess ?salvaged ?evidence prepared ~original ~log outcome =

@@ -64,11 +64,10 @@ val record_dist :
 (** [replay ?budget prepared log] reconstructs an execution per the model's
     replay contract. [budget] overrides the config's inference budget (the
     ensemble assessment varies its base seed; a [deadline_s] in it bounds
-    every model's search, including the value model's smaller budget). The
-    config's [jobs] fans searched replays over that many domains — same
-    outcome, less wall-clock. [checkpoint] persists the search frontier so
-    a killed replay can be [resume]d and provably reach the same first-hit
-    outcome; see {!Ddet_replay.Checkpoint}. *)
+    every model's search, including the value model's smaller budget).
+    [checkpoint] persists the search frontier so a killed replay can be
+    [resume]d and provably reach the same first-hit outcome; see
+    {!Ddet_replay.Checkpoint}. *)
 val replay :
   ?budget:Ddet_replay.Search.budget ->
   ?checkpoint:Ddet_replay.Checkpoint.sink ->

@@ -840,8 +840,14 @@ let compile (labeled : Label.labeled) : compiled =
 
 (* Reads of a slot still holding this sentinel reproduce the AST walker's
    "unbound variable" crash; physical equality keeps the check off every
-   other value. *)
-let unbound : Value.tagged = { Value.v = Value.unit; taint = Taint.empty }
+   other value. The sentinel must be allocated at run time: as a literal
+   it is a structured constant, which an optimising build may share with
+   any equal [{ v = Vunit; taint = empty }] value, so a slot that really
+   holds unit would read as unbound. [Sys.opaque_identity] on the field
+   (not on the whole literal, which would stay a static block) hides the
+   value from the compiler and forces a fresh block. *)
+let unbound : Value.tagged =
+  { Value.v = Sys.opaque_identity Value.unit; taint = Taint.empty }
 
 (* "No next instruction" sentinel, compared physically: returning it
    instead of [None] keeps the per-step resolve/normalize path from

@@ -1,6 +1,6 @@
 let real : unit -> int64 = Monotonic_clock.now
 
-(* the source is read from worker domains (deadline polls ride the
+(* the source may be read from any domain (deadline polls ride the
    interpreter's cancel hook), so the swap point is an atomic *)
 let source = Atomic.make real
 

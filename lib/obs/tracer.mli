@@ -8,14 +8,11 @@
 
     Ownership rules that make that true:
 
-    - Spans and instants are emitted only from the session's reducer
-      thread (the thread driving record or search). The ring is
-      single-writer; worker domains never touch it.
-    - Worker domains report through {e counters} only: atomic cells
-      whose adds commute, so totals are order-independent. Under
-      speculative parallel search ([--jobs] > 1) worker counters also
-      count cancelled speculative attempts, so the byte-identical
-      contract is stated for sequential sessions.
+    - Spans and instants are emitted only from the session's thread
+      (the thread driving record or search). The ring is single-writer;
+      other domains never touch it.
+    - Other domains report through {e counters} only: atomic cells
+      whose adds commute, so totals are order-independent.
     - Wall-time quantities (span timestamps, [_ns]-suffixed counters)
       are the only nondeterministic values, and {!render_masked} elides
       exactly those.
@@ -58,7 +55,7 @@ val current : unit -> t option
     previous ambient tracer afterwards. *)
 val with_current : t -> (unit -> 'a) -> 'a
 
-(** {1 Events (reducer thread only)} *)
+(** {1 Events (session thread only)} *)
 
 val span : t -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
 val instant : t -> ?args:(string * value) list -> string -> unit
@@ -79,7 +76,7 @@ val counter : t -> string -> counter
 
 (** [handle name] resolves a counter against the ambient tracer once,
     for hot paths: [None] when tracing is disabled. Create handles at
-    setup time (reducer thread), bump them from anywhere. *)
+    setup time (session thread), bump them from anywhere. *)
 val handle : string -> counter option
 
 (** [bump h n] adds [n]; free when [h] is [None]. *)

@@ -1,41 +1,22 @@
 open Mvm
 
-(* Shared machinery of the enumeration engines: the decision odometers,
-   instrumented worlds, and single-attempt executors that both the
-   sequential drivers (Search) and the domain-parallel drivers
-   (Par_search) are built from. One attempt here is a pure function of
-   its (prefix, budget, shared seen-set snapshot) — that is what lets
-   Par_search run attempts speculatively on worker domains and still
-   reproduce the sequential search byte for byte. *)
+(* Shared machinery of the enumeration engines in Search: the decision
+   odometers, instrumented worlds, and single-attempt executors. One
+   attempt here is a pure function of its (prefix, budget, seen-set). *)
 
 (* ------------------------------------------------------------------ *)
-(* seen-set: digests of already-covered scheduling states. Workers on
-   other domains consult it concurrently at one point per run, so it
-   carries its own lock. Only the reducing side ever adds (see
-   Par_search); in sequential search the runner is its own reducer. *)
+(* seen-set: digests of already-covered scheduling states *)
 
 module Seen = struct
-  type t = { tbl : (int, unit) Hashtbl.t; lock : Mutex.t }
+  type t = (int, unit) Hashtbl.t
 
-  let create () = { tbl = Hashtbl.create 256; lock = Mutex.create () }
-
-  let mem t d =
-    Mutex.lock t.lock;
-    let r = Hashtbl.mem t.tbl d in
-    Mutex.unlock t.lock;
-    r
-
-  let add t d =
-    Mutex.lock t.lock;
-    Hashtbl.replace t.tbl d ();
-    Mutex.unlock t.lock
+  let create () : t = Hashtbl.create 256
+  let mem = Hashtbl.mem
+  let add t d = Hashtbl.replace t d ()
 
   (* snapshot for checkpointing; replant with [add] on resume *)
   let elements t =
-    Mutex.lock t.lock;
-    let r = Hashtbl.fold (fun d () acc -> d :: acc) t.tbl [] in
-    Mutex.unlock t.lock;
-    List.sort compare r
+    List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) t [])
 end
 
 (* ------------------------------------------------------------------ *)
@@ -72,13 +53,6 @@ type probe = {
   sizes : int list;
       (* discovered digit fan-outs, shallowest first, already truncated
          for the pruned/clamped cases so [advance] skips the dead branch *)
-  checkpoint : (int * int * int list) option;
-      (* (digest, steps, sizes) at the first post-prefix decision — what
-         a reducer needs to re-classify a speculatively completed run as
-         pruned after the fact *)
-  plants : int list;
-      (* digests at every post-prefix decision of a completed run, in
-         decision order: the states this run's subtree now covers *)
   early : early;
 }
 
@@ -107,17 +81,10 @@ let odometer_world prefix sizes =
         | None -> ( match domain with [] -> Value.unit | v :: _ -> v));
   }
 
-let cancel_abort cancel inner e =
-  match cancel with
-  | Some c when c () -> Some "cancelled"
-  | _ -> inner e
-
 (* ------------------------------------------------------------------ *)
-(* per-worker execution context (the arena): compile the program once,
-   then reuse the interpreter exec state, the pruner's hash tables and a
-   warm trace capacity across every attempt that runs on the same domain.
-   A ctx must never be shared between concurrent attempts — each worker
-   builds its own. *)
+(* execution context (the arena): compile the program once, then reuse
+   the interpreter exec state, the pruner's hash tables and a warm trace
+   capacity across every attempt of one search. *)
 
 type ctx = {
   ctx_compiled : Interp.compiled;
@@ -159,22 +126,16 @@ let run_attempt ?ctx ?(monitors = []) ~max_steps ~abort ?cancel
     cx.ctx_cap <- Trace.length r.Interp.trace;
     r
 
-let exec_inputs ?ctx ?trace_capacity ?cancel ?wall ~budget:(max_steps : int)
-    ~prefix labeled =
+let exec_inputs ?ctx ?trace_capacity ?wall ~budget:(max_steps : int) ~prefix
+    labeled =
   let sizes = ref [] in
   let world = odometer_world prefix sizes in
-  let abort = cancel_abort cancel (fun _ -> None) in
   let result =
-    run_attempt ?ctx ~max_steps ~abort ?cancel:wall ?trace_capacity labeled
-      world
+    run_attempt ?ctx ~max_steps
+      ~abort:(fun _ -> None)
+      ?cancel:wall ?trace_capacity labeled world
   in
-  {
-    result;
-    sizes = List.rev !sizes;
-    checkpoint = None;
-    plants = [];
-    early = Ran;
-  }
+  { result; sizes = List.rev !sizes; early = Ran }
 
 (* ------------------------------------------------------------------ *)
 (* schedule odometer: decision k picks the prefix[k]-th candidate (sorted
@@ -195,10 +156,9 @@ let exec_inputs ?ctx ?trace_capacity ?cancel ?wall ~budget:(max_steps : int)
      digest is compared against [seen]; a hit means another explored
      subtree already covers every continuation of this state, so the run
      is cut short and its sizes end at the prefix — the whole subtree is
-     skipped. On a miss, completed runs report the digests of all their
-     post-prefix decisions as [plants]. *)
-
-type pruning = { seen : Seen.t; plant : bool }
+     skipped. On a miss, the digest of every post-prefix decision is
+     planted into [seen]: those are the states this run's subtree now
+     covers. *)
 
 (* The interpreter builds its candidate list in ascending-tid order (both
    the AST walker and the compiled runner), so decisions index the
@@ -207,8 +167,7 @@ type pruning = { seen : Seen.t; plant : bool }
    schedule-heavy searches. *)
 let nth_tid cands pos = (List.nth cands pos).World.tid
 
-let schedule_world ?pruning ?hash ~prefix ~sizes ~stop ~checkpoint ~plants ()
-    =
+let schedule_world ?seen ?hash ~prefix ~sizes ~stop () =
   let k = ref 0 in
   let hash =
     match hash with
@@ -221,7 +180,7 @@ let schedule_world ?pruning ?hash ~prefix ~sizes ~stop ~checkpoint ~plants ()
   {
     World.name = "dfs-schedules";
     pick_thread =
-      (fun ~step cands ->
+      (fun ~step:_ cands ->
         match cands with
         | [ only ] -> only.World.tid
         | _ ->
@@ -238,23 +197,14 @@ let schedule_world ?pruning ?hash ~prefix ~sizes ~stop ~checkpoint ~plants ()
             else nth_tid cands pos
           end
           else begin
-            (match pruning with
+            (match seen with
             | None -> sizes := n :: !sizes
-            | Some { seen; plant } ->
+            | Some seen ->
               let d = State_hash.digest hash in
-              if i = plen then begin
-                checkpoint := Some (d, step, List.rev !sizes);
-                if Seen.mem seen d then
-                  stop := Some (Early_pruned, reason_pruned)
-                else begin
-                  if plant then Seen.add seen d;
-                  plants := d :: !plants;
-                  sizes := n :: !sizes
-                end
-              end
+              if i = plen && Seen.mem seen d then
+                stop := Some (Early_pruned, reason_pruned)
               else begin
-                if plant then Seen.add seen d;
-                plants := d :: !plants;
+                Seen.add seen d;
                 sizes := n :: !sizes
               end);
             nth_tid cands 0
@@ -269,52 +219,36 @@ let schedule_world ?pruning ?hash ~prefix ~sizes ~stop ~checkpoint ~plants ()
   }
   |> fun w -> (w, hash)
 
-let exec_schedule ?ctx ?trace_capacity ?pruning ?cancel ?wall
-    ~budget:(max_steps : int) ~prefix labeled =
+let exec_schedule ?ctx ?trace_capacity ?seen ?wall ~budget:(max_steps : int)
+    ~prefix labeled =
   let sizes = ref [] in
   let stop = ref None in
-  let checkpoint = ref None in
-  let plants = ref [] in
   let world, hash =
-    schedule_world ?pruning
+    schedule_world ?seen
       ?hash:(Option.map (fun cx -> cx.ctx_hash) ctx)
-      ~prefix ~sizes ~stop ~checkpoint ~plants ()
+      ~prefix ~sizes ~stop ()
   in
   let monitors =
-    match pruning with None -> [] | Some _ -> [ State_hash.feed hash ]
+    match seen with None -> [] | Some _ -> [ State_hash.feed hash ]
   in
-  let abort = cancel_abort cancel (fun _ -> Option.map snd !stop) in
   let result =
-    run_attempt ?ctx ~monitors ~max_steps ~abort ?cancel:wall ?trace_capacity
-      labeled world
+    run_attempt ?ctx ~monitors ~max_steps
+      ~abort:(fun _ -> Option.map snd !stop)
+      ?cancel:wall ?trace_capacity labeled world
   in
   let early = match !stop with Some (e, _) -> e | None -> Ran in
-  {
-    result;
-    sizes = List.rev !sizes;
-    checkpoint = !checkpoint;
-    plants = List.rev !plants;
-    early;
-  }
+  { result; sizes = List.rev !sizes; early }
 
 (* ------------------------------------------------------------------ *)
-(* authoritative classification: what the in-order reducer does with a
-   probe that may have been executed speculatively. A run that completed
-   on a worker before an earlier attempt planted its checkpoint state is
-   re-classified as pruned here, charged only the steps the sequential
-   search would have executed before cutting it short. *)
+(* classification: a clamped or pruned probe is not an attempt *)
 
 type verdict =
   | Attempt of Interp.result * int list  (** judge it; advance with sizes *)
   | Skipped of { steps : int; sizes : int list }
       (** pruned or clamped: uncounted, advance with the truncated sizes *)
 
-let classify ?seen probe =
+let classify probe =
   match probe.early with
   | Early_clamped | Early_pruned ->
     Skipped { steps = probe.result.Interp.steps; sizes = probe.sizes }
-  | Ran -> (
-    match (seen, probe.checkpoint) with
-    | Some seen, Some (d, steps, sizes) when Seen.mem seen d ->
-      Skipped { steps; sizes }
-    | _ -> Attempt (probe.result, probe.sizes))
+  | Ran -> Attempt (probe.result, probe.sizes)

@@ -1,19 +1,11 @@
-(** Shared machinery of the enumeration engines: decision odometers,
-    instrumented worlds, and single-attempt executors.
-
-    {!Search} composes these sequentially; {!Par_search} fans the same
-    attempts over worker domains. One attempt is a pure function of its
-    decision prefix (plus a read-only glance at the shared {!Seen} set),
-    which is what makes speculative parallel execution reproduce the
-    sequential search exactly. *)
+(** Shared machinery of the enumeration engines in {!Search}: decision
+    odometers, instrumented worlds, and single-attempt executors. One
+    attempt is a pure function of its decision prefix and the {!Seen}
+    set it runs against. *)
 
 open Mvm
 
-(** Digest set of already-covered scheduling states, safe to consult from
-    other domains. Discipline: anyone may {!Seen.mem}; only the side that
-    processes attempts in sequential order may {!Seen.add} — that keeps
-    every concurrent lookup an under-approximation of what the sequential
-    search would know, so an early hit is always authoritative. *)
+(** Digest set of already-covered scheduling states. *)
 module Seen : sig
   type t
 
@@ -45,23 +37,17 @@ type probe = {
       (** discovered digit fan-outs, shallowest first, already truncated
           for the pruned/clamped cases so {!advance} skips the dead
           branch *)
-  checkpoint : (int * int * int list) option;
-      (** (digest, steps, sizes) at the first post-prefix decision *)
-  plants : int list;
-      (** digests of every post-prefix decision of a completed run — the
-          states whose subtrees this run's enumeration now covers *)
   early : early;
 }
 
-(** Per-worker execution context — the arena of the search hot path. It
-    holds the program compiled once ({!Interp.compile}), a reusable
-    interpreter exec state, the pruner's hash tables and a warm trace
-    capacity, all reused across every attempt executed with it: attempts
-    stop paying compile cost, table allocation and trace regrowth.
-    Attempts run through a ctx use {!Interp.run_compiled} — byte-identical
-    results to the AST walker, substantially cheaper per step. A ctx must
-    not be shared between concurrent attempts; each worker domain builds
-    its own with {!make_ctx}. *)
+(** Execution context — the arena of the search hot path. It holds the
+    program compiled once ({!Interp.compile}), a reusable interpreter
+    exec state, the pruner's hash tables and a warm trace capacity, all
+    reused across every attempt executed with it: attempts stop paying
+    compile cost, table allocation and trace regrowth. Attempts run
+    through a ctx use {!Interp.run_compiled} — byte-identical results to
+    the AST walker, substantially cheaper per step. A ctx serves one
+    attempt at a time. *)
 type ctx
 
 (** [make_ctx labeled] compiles the program and allocates its arena. *)
@@ -85,40 +71,28 @@ val run_attempt :
   Interp.result
 
 (** [exec_inputs ~budget ~prefix labeled] runs one input-odometer attempt;
-    [budget] is the step cap. [cancel] is polled at every event: parallel
-    workers use it to abandon speculative runs that can no longer be
-    processed (the result is then discarded, never judged). [wall] is the
-    coarse cousin forwarded to {!Interp.run}'s [cancel] (polled every 128
-    steps): deadline budgets use it to cut a long attempt mid-run. [ctx]
-    switches the attempt onto the compiled hot path (see {!ctx}). *)
+    [budget] is the step cap. [wall] is forwarded to {!Interp.run}'s
+    [cancel] (polled every 128 steps): deadline budgets use it to cut a
+    long attempt mid-run. [ctx] switches the attempt onto the compiled
+    hot path (see {!ctx}). *)
 val exec_inputs :
   ?ctx:ctx ->
   ?trace_capacity:int ->
-  ?cancel:(unit -> bool) ->
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
   Label.labeled ->
   probe
 
-type pruning = {
-  seen : Seen.t;
-  plant : bool;
-      (** [true]: plant post-prefix digests into [seen] during the run
-          (sequential search, where runner and reducer coincide).
-          [false]: only report them in {!probe.plants} (parallel workers;
-          the reducer plants). *)
-}
-
-(** [exec_schedule ?pruning ~budget ~prefix labeled] runs one
-    schedule-odometer attempt. With [pruning], the run is cut short at
-    the first post-prefix decision if its canonical state digest is
-    already in [seen]. *)
+(** [exec_schedule ?seen ~budget ~prefix labeled] runs one
+    schedule-odometer attempt. With [seen], the run is cut short at the
+    first post-prefix decision if its canonical state digest is already
+    in [seen]; otherwise the digest of every post-prefix decision is
+    added to [seen]. *)
 val exec_schedule :
   ?ctx:ctx ->
   ?trace_capacity:int ->
-  ?pruning:pruning ->
-  ?cancel:(unit -> bool) ->
+  ?seen:Seen.t ->
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
@@ -130,11 +104,7 @@ type verdict =
       (** count and judge it; advance the odometer with these sizes *)
   | Skipped of { steps : int; sizes : int list }
       (** pruned or clamped: not an attempt; [steps] is the inference
-          work the sequential search would have spent before cutting the
-          run short *)
+          work spent before the run was cut short *)
 
-(** [classify ?seen probe] is the in-order reducer's authoritative ruling
-    on a (possibly speculatively executed) probe. With [seen], a run that
-    completed on a worker before an earlier attempt planted its
-    checkpoint state is re-classified as pruned after the fact. *)
-val classify : ?seen:Seen.t -> probe -> verdict
+(** [classify probe] rules whether a probe counts as an attempt. *)
+val classify : probe -> verdict

@@ -392,8 +392,7 @@ let partial ?(steer = no_steer) ~seed log =
   let lost = mem_tbl steer.lost_tids in
   let hot = mem_tbl steer.hot_sids in
   let cold = mem_tbl steer.cold_input_tids in
-  (* handles resolved once per oracle; picks may run on worker domains,
-     where only atomic counter bumps are allowed (no ring writes) *)
+  (* handles resolved once per oracle, not once per pick *)
   let c_stalls = Ddet_obs.Tracer.handle "oracle.cursor_stalls" in
   let c_hot = Ddet_obs.Tracer.handle "oracle.steer_hot_picks" in
   let c_cold = Ddet_obs.Tracer.handle "oracle.cold_pins" in

@@ -54,14 +54,6 @@ let exit_code ?(damaged = false) o =
 let env_world (log : Log.t) w =
   match log.Log.faults with None -> w | Some plan -> Fault.inject plan w
 
-(* Each search attempt re-executes the recorded program, so the recorded
-   run's length is the natural per-attempt cost estimate for the
-   min-work heuristic (Par_search falls back to sequential when an
-   attempt is cheaper than spawning domains). A log whose header lost
-   its base steps gives no estimate rather than a misleading zero. *)
-let est_of (log : Log.t) =
-  if log.Log.base_steps > 0 then Some log.Log.base_steps else None
-
 let perfect labeled ~spec log =
   let handle = Oracle.perfect log in
   let world = env_world log handle.Oracle.world in
@@ -94,10 +86,8 @@ let small_budget =
     deadline_s = None;
   }
 
-let value_det ?(budget = small_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume labeled
-    ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+let value_det ?(budget = small_budget) ?checkpoint ?resume labeled ~spec log =
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       let handle = Oracle.value_det ~seed:(budget.base_seed + attempt) log in
@@ -108,16 +98,14 @@ let value_det ?(budget = small_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume l
   |> of_search "value"
 
 let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
-    ?(jobs = 1) ?tuning ?checkpoint ?resume labeled ~spec log =
+    ?checkpoint ?resume labeled ~spec log =
   let accept = Constraints.outputs_match log in
   let score = Constraints.closeness log in
   let o =
     if exhaustive then
-      Par_search.enumerate_inputs ~jobs ?tuning ?est_attempt_steps:(est_of log)
-        ?checkpoint ?resume budget ~score ~spec ~accept labeled
+      Search.enumerate_inputs ?checkpoint ?resume budget ~score ~spec ~accept labeled
     else
-      Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-        ?checkpoint ?resume budget ~score
+      Search.random_restarts ?checkpoint ?resume budget ~score
         ~make:(fun ~attempt ->
           ( env_world log (World.random ~seed:(budget.base_seed + attempt)),
             Some (Constraints.output_prefix_abort log) ))
@@ -125,8 +113,8 @@ let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
   in
   of_search "output" o
 
-let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume ?priority labeled ~spec log =
+let failure_det ?(budget = Search.default_budget) ?checkpoint ?resume
+    ?priority labeled ~spec log =
   let attempt_world =
     match priority with
     | None -> fun ~seed -> World.random ~seed
@@ -134,8 +122,7 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoin
       let prefer = Search.site_prefer p in
       fun ~seed -> World.prioritized ~seed ~prefer
   in
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       (env_world log (attempt_world ~seed:(budget.base_seed + attempt)), None))
@@ -144,10 +131,9 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoin
     labeled
   |> of_search "failure"
 
-let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume
-    labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+let sync_det ?(budget = Search.default_budget) ?checkpoint ?resume labeled
+    ~spec log =
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       let handle = Oracle.sync ~seed:(budget.base_seed + attempt) log in
@@ -160,10 +146,9 @@ let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint ?
     labeled
   |> of_search "sync"
 
-let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
-    ?tuning ?checkpoint ?resume labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+let rcse ?(budget = Search.default_budget) ?(strict = true)
+    ?checkpoint ?resume labeled ~spec log =
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       let handle = Oracle.rcse ~strict ~seed:(budget.base_seed + attempt) log in
@@ -182,10 +167,9 @@ let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
    yields the best partial. The degraded windows are exactly the search
    regions; everything outside them is pinned by the surviving entries
    through the closeness score. *)
-let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+let governed ?(budget = Search.default_budget) ?checkpoint ?resume labeled
+    ~spec log =
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       (env_world log (World.random ~seed:(budget.base_seed + attempt)), None))
@@ -201,11 +185,10 @@ let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
    are searched by random restarts under the recorded fault plan, and
    acceptance is the recorded failure — reproduced from partial
    evidence. *)
-let stitched ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume ?steer labeled ~spec (st : Stitch.t) =
+let stitched ?(budget = Search.default_budget) ?checkpoint ?resume ?steer
+    labeled ~spec (st : Stitch.t) =
   let log = st.Stitch.log in
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+  Search.random_restarts ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       (* the first attempt replays the surviving projection unbiased —

@@ -58,16 +58,9 @@ val exit_deadline : int
 val perfect : Label.labeled -> spec:Spec.t -> Log.t -> outcome
 
 (** [value_det] tries a few seeds; per-thread value forcing makes each
-    attempt cheap. All searching drivers take [jobs] (default 1): with
-    [jobs > 1] the search fans over that many OCaml 5 domains via
-    {!Par_search}, with outcomes identical to the sequential search.
-    [tuning] adjusts the parallel scheduler's knobs (chunk size,
-    speculation window, min-work threshold, cores cap) — wall-clock
-    only, never outcomes. *)
+    attempt cheap. *)
 val value_det :
   ?budget:Search.budget ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -81,8 +74,6 @@ val value_det :
 val output_det :
   ?budget:Search.budget ->
   ?exhaustive:bool ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -97,8 +88,6 @@ val output_det :
     checkpoints from earlier versions resume identically. *)
 val failure_det :
   ?budget:Search.budget ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   ?priority:Search.site_priority ->
@@ -109,8 +98,6 @@ val failure_det :
 
 val sync_det :
   ?budget:Search.budget ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -124,8 +111,6 @@ val sync_det :
 val rcse :
   ?budget:Search.budget ->
   ?strict:bool ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -142,8 +127,6 @@ val rcse :
     when {!Ddet_record.Log.governed} holds. *)
 val governed :
   ?budget:Search.budget ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -173,8 +156,6 @@ val governed :
     redirects the shots that would otherwise wander. *)
 val stitched :
   ?budget:Search.budget ->
-  ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   ?steer:Oracle.steer ->

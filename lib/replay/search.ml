@@ -17,18 +17,14 @@ let default_budget =
 
 type incident = {
   at_attempt : int;
-  worker : int option;
   error : string;
   retries : int;
   poisoned : bool;
 }
 
 let pp_incident ppf i =
-  Format.fprintf ppf "attempt %d%a: %s (%s after %d retr%s)" i.at_attempt
-    (fun ppf -> function
-      | None -> ()
-      | Some w -> Format.fprintf ppf " on worker %d" w)
-    i.worker i.error
+  Format.fprintf ppf "attempt %d: %s (%s after %d retr%s)" i.at_attempt
+    i.error
     (if i.poisoned then "poisoned" else "requeued")
     i.retries
     (if i.retries = 1 then "y" else "ies")
@@ -133,9 +129,8 @@ let track_best (type k) ?stored ~(rerun : k -> Interp.result) score =
   in
   (note, get, peek)
 
-(* every engine — sequential or parallel — funnels its outcome through
-   these two constructors on the reducer thread, so this is the one
-   place the tracer learns what a search cost *)
+(* every engine funnels its outcome through these two constructors, so
+   this is the one place the tracer learns what a search cost *)
 let observe (st : stats) =
   let module T = Ddet_obs.Tracer in
   match T.current () with
@@ -195,14 +190,14 @@ let priority_world priority ~seed =
 
 let max_job_retries = 1
 
-let supervised ~attempt ~worker incidents f =
+let supervised ~attempt incidents f =
   let rec go ~retries ~last_error =
     match f () with
     | v ->
       (match last_error with
       | Some error ->
         incidents :=
-          { at_attempt = attempt; worker; error; retries; poisoned = false }
+          { at_attempt = attempt; error; retries; poisoned = false }
           :: !incidents
       | None -> ());
       Some v
@@ -212,7 +207,7 @@ let supervised ~attempt ~worker incidents f =
         go ~retries:(retries + 1) ~last_error:(Some error)
       else begin
         incidents :=
-          { at_attempt = attempt; worker; error; retries; poisoned = true }
+          { at_attempt = attempt; error; retries; poisoned = true }
           :: !incidents;
         None
       end
@@ -324,9 +319,7 @@ let random_restarts ?(score = no_score) ?checkpoint ?resume budget ~make ~spec
     else if deadline_passed deadline then
       fail ~attempts:(attempt - 1) ~deadline_hit:true ()
     else
-      match
-        supervised ~attempt ~worker:None incidents (fun () -> exec attempt)
-      with
+      match supervised ~attempt incidents (fun () -> exec attempt) with
       | None ->
         (* poisoned: this attempt is lost, the search is not *)
         tick attempt;
@@ -345,101 +338,15 @@ let random_restarts ?(score = no_score) ?checkpoint ?resume budget ~make ~spec
   in
   go (match resume with Some c -> c.Checkpoint.attempt + 1 | None -> 1)
 
-let advance = Engine.advance
-
-let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
-    ~accept labeled =
-  let resume = check_resume ~engine:"inputs" budget resume in
-  let total_steps =
-    ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-  in
-  let incidents = ref [] in
-  let deadline = deadline_of budget in
-  let ctx = Engine.make_ctx labeled in
-  let rerun prefix =
-    Spec.apply spec
-      (Engine.exec_inputs ~budget:budget.max_steps_per_attempt ~prefix labeled)
-        .Engine.result
-  in
-  let note, best, peek =
-    track_best ?stored:(stored_prefix resume) ~rerun score
-  in
-  let frontier attempt prefix () =
-    {
-      Checkpoint.engine = "inputs";
-      base_seed = budget.base_seed;
-      attempt;
-      total_steps = !total_steps;
-      pruned = 0;
-      prefix;
-      best = ckpt_best_prefix peek;
-      seen = [];
-    }
-  in
-  let tick attempt prefix =
-    Option.iter
-      (fun s -> Checkpoint.tick s (frontier attempt prefix))
-      checkpoint
-  in
-  let fail ~attempts ~prefix ?deadline_hit () =
-    Option.iter
-      (fun s -> Checkpoint.flush s (frontier attempts prefix))
-      checkpoint;
-    exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
-      ~incidents:(List.rev !incidents) best
-  in
-  let rec go attempt prefix =
-    match prefix with
-    | None -> fail ~attempts:(attempt - 1) ~prefix:None ()
-    | Some prefix ->
-      if attempt > budget.max_attempts then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ()
-      else if deadline_passed deadline then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ~deadline_hit:true
-          ()
-      else (
-        match
-          supervised ~attempt ~worker:None incidents (fun () ->
-              Engine.exec_inputs ~ctx
-                ?wall:(wall_cancel deadline)
-                ~budget:budget.max_steps_per_attempt ~prefix labeled)
-        with
-        | None ->
-          (* poisoned: without the probe's sizes the odometer cannot
-             advance past this prefix, so the search ends gracefully
-             instead of spinning on a doomed attempt *)
-          fail ~attempts:attempt ~prefix:(Some prefix) ()
-        | Some p ->
-          let r = p.Engine.result in
-          total_steps := !total_steps + r.Interp.steps;
-          let r = Spec.apply spec r in
-          if accept r then
-            accepted ~attempts:attempt ~total_steps:!total_steps
-              ~incidents:(List.rev !incidents) r
-          else begin
-            note attempt prefix r;
-            let next = advance prefix p.Engine.sizes in
-            tick attempt next;
-            go (attempt + 1) next
-          end)
-  in
-  match resume with
-  | None -> go 1 (Some [||])
-  | Some c -> go (c.Checkpoint.attempt + 1) c.Checkpoint.prefix
-
-let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
-    ?resume budget ~spec ~accept labeled =
-  let resume = check_resume ~engine:"dfs" budget resume in
-  let pruning =
-    if prune then begin
-      let seen = Engine.Seen.create () in
-      (match resume with
-      | Some c -> List.iter (Engine.Seen.add seen) c.Checkpoint.seen
-      | None -> ());
-      Some { Engine.seen; plant = true }
-    end
-    else None
-  in
+(* The two odometer engines share one driver: they differ only in the
+   executor that runs a prefix, and in pruning, which only the schedule
+   executor does. [exec ~ctx ~seen ~wall prefix] runs one attempt. *)
+let odometer ~engine ~exec ~seen ?on_prune ~score ?checkpoint ?resume budget
+    ~spec ~accept labeled =
+  let resume = check_resume ~engine budget resume in
+  (match (seen, resume) with
+  | Some s, Some c -> List.iter (Engine.Seen.add s) c.Checkpoint.seen
+  | _ -> ());
   let total_steps =
     ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
   in
@@ -448,31 +355,25 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
   in
   let incidents = ref [] in
   let deadline = deadline_of budget in
-  let ctx = Engine.make_ctx labeled in
+  let ctx = Some (Engine.make_ctx labeled) in
   let rerun prefix =
     (* a candidate judged by the search was a completed, unpruned run, so
        re-executing its prefix without pruning reproduces it exactly *)
-    Spec.apply spec
-      (Engine.exec_schedule ~budget:budget.max_steps_per_attempt ~prefix
-         labeled)
-        .Engine.result
+    Spec.apply spec (exec ~ctx:None ~seen:None ~wall:None prefix).Engine.result
   in
   let note, best, peek =
     track_best ?stored:(stored_prefix resume) ~rerun score
   in
   let frontier attempt prefix () =
     {
-      Checkpoint.engine = "dfs";
+      Checkpoint.engine;
       base_seed = budget.base_seed;
       attempt;
       total_steps = !total_steps;
       pruned = !pruned;
       prefix;
       best = ckpt_best_prefix peek;
-      seen =
-        (match pruning with
-        | Some { Engine.seen; _ } -> Engine.Seen.elements seen
-        | None -> []);
+      seen = (match seen with Some s -> Engine.Seen.elements s | None -> []);
     }
   in
   let tick attempt prefix =
@@ -498,17 +399,15 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
           ()
       else (
         match
-          supervised ~attempt ~worker:None incidents (fun () ->
-              Engine.exec_schedule ~ctx ?pruning
-                ?wall:(wall_cancel deadline)
-                ~budget:budget.max_steps_per_attempt ~prefix labeled)
+          supervised ~attempt incidents (fun () ->
+              exec ~ctx ~seen ~wall:(wall_cancel deadline) prefix)
         with
-        | None -> fail ~attempts:attempt ~prefix:(Some prefix) ()
+        | None ->
+          (* poisoned: without the probe's sizes the odometer cannot
+             advance past this prefix, so the search ends gracefully
+             instead of spinning on a doomed attempt *)
+          fail ~attempts:attempt ~prefix:(Some prefix) ()
         | Some p -> (
-          (* The live seen-set check inside the run is authoritative here —
-             the runner IS the reducer — so classification reads the probe's
-             own verdict rather than re-consulting [seen] (which would see
-             the run's own plants). *)
           match Engine.classify p with
           | Engine.Skipped { steps; sizes } ->
             incr pruned;
@@ -516,7 +415,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
             (match on_prune with
             | Some f when p.Engine.early = Engine.Early_pruned -> f ~prefix
             | _ -> ());
-            let next = advance prefix sizes in
+            let next = Engine.advance prefix sizes in
             tick (attempt - 1) next;
             go attempt next
           | Engine.Attempt (r, sizes) ->
@@ -529,7 +428,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
                 r
             else begin
               note attempt prefix r;
-              let next = advance prefix sizes in
+              let next = Engine.advance prefix sizes in
               tick attempt next;
               go (attempt + 1) next
             end))
@@ -537,6 +436,23 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
   match resume with
   | None -> go 1 (Some [||])
   | Some c -> go (c.Checkpoint.attempt + 1) c.Checkpoint.prefix
+
+let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
+    ~accept labeled =
+  odometer ~engine:"inputs" ~seen:None ~score ?checkpoint ?resume budget ~spec
+    ~accept labeled
+    ~exec:(fun ~ctx ~seen:_ ~wall prefix ->
+      Engine.exec_inputs ?ctx ?wall ~budget:budget.max_steps_per_attempt
+        ~prefix labeled)
+
+let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
+    ?resume budget ~spec ~accept labeled =
+  let seen = if prune then Some (Engine.Seen.create ()) else None in
+  odometer ~engine:"dfs" ~seen ?on_prune ~score ?checkpoint ?resume budget
+    ~spec ~accept labeled
+    ~exec:(fun ~ctx ~seen ~wall prefix ->
+      Engine.exec_schedule ?ctx ?seen ?wall
+        ~budget:budget.max_steps_per_attempt ~prefix labeled)
 
 let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
   let p = Engine.exec_schedule ~budget:max_steps ~prefix labeled in

@@ -16,8 +16,8 @@
       state-hash pruning.
 
     All work is accounted in VM steps so debugging efficiency (DE) can be
-    computed uniformly. The engines here are sequential; {!Par_search}
-    fans the same attempts over OCaml 5 domains with identical outcomes. *)
+    computed uniformly. The engines are sequential: attempts run one at a
+    time, in attempt order, on the calling thread. *)
 
 open Mvm
 
@@ -37,13 +37,11 @@ type budget = {
 
 val default_budget : budget
 
-(** A worker mishap the search survived. [worker] is the domain's index
-    under {!Par_search} ([None] for the sequential engines). A requeued
-    incident ([poisoned = false]) means the retry succeeded; a poisoned
-    one means the attempt was abandoned after [retries] retries. *)
+(** An attempt mishap the search survived. A requeued incident
+    ([poisoned = false]) means the retry succeeded; a poisoned one means
+    the attempt was abandoned after [retries] retries. *)
 type incident = {
   at_attempt : int;
-  worker : int option;
   error : string;
   retries : int;
   poisoned : bool;
@@ -190,29 +188,6 @@ val site_prefer : site_priority -> Mvm.World.cand -> bool
     searches. *)
 val priority_world : site_priority -> seed:int -> Mvm.World.t
 
-(* internal: shared with Par_search *)
-val no_score : Interp.result -> float
-
-(* best tracker, generic in the rerun key 'k (attempt index for seeded
-   restarts, decision prefix for odometer engines): returns
-   (note attempt key result, get-partial, peek-stored-key). [get]
-   rematerialises a checkpoint-restored best by rerunning its key. *)
-val track_best :
-  ?stored:float * int * 'k ->
-  rerun:('k -> Interp.result) ->
-  (Interp.result -> float) ->
-  (int -> 'k -> Interp.result -> unit)
-  * (unit -> partial option)
-  * (unit -> (float * int * 'k) option)
-
-val exhausted :
-  attempts:int -> total_steps:int -> ?pruned:int -> ?deadline_hit:bool ->
-  ?incidents:incident list -> (unit -> partial option) -> outcome
-val accepted :
-  attempts:int -> total_steps:int -> ?pruned:int -> ?deadline_hit:bool ->
-  ?incidents:incident list -> Interp.result -> outcome
-val advance : int array -> int list -> int array option
-
 (* deadlines are absolute monotonic instants (Obs.Clock ns), immune to
    wall-clock steps; tests drive them through Obs.Clock.set_source *)
 val deadline_reason : string
@@ -220,16 +195,5 @@ val deadline_of : budget -> int64 option
 val deadline_passed : int64 option -> bool
 val wall_cancel : int64 option -> (unit -> string option) option
 
+(* retries an attempt gets before it is poisoned *)
 val max_job_retries : int
-val supervised :
-  attempt:int -> worker:int option -> incident list ref ->
-  (unit -> 'a) -> 'a option
-
-val check_resume :
-  engine:string -> budget -> Checkpoint.t option -> Checkpoint.t option
-val ckpt_best_attempt :
-  (unit -> (float * int * int) option) -> Checkpoint.best option
-val ckpt_best_prefix :
-  (unit -> (float * int * int array) option) -> Checkpoint.best option
-val stored_attempt : Checkpoint.t option -> (float * int * int) option
-val stored_prefix : Checkpoint.t option -> (float * int * int array) option

@@ -28,6 +28,6 @@ val digest : t -> int
 
 (** [reset t] forgets everything fed so far, returning [t] to the state
     of a fresh {!create} — the arena pattern: search engines feed one
-    hash instance per worker across millions of attempts instead of
+    hash instance per search across millions of attempts instead of
     allocating the five tables anew for each. *)
 val reset : t -> unit

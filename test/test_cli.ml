@@ -272,6 +272,23 @@ let test_io_faults_unknown_clause () =
   Alcotest.(check bool) "lists valid clauses" true
     (contains text "torn:OP[:KEEP]")
 
+(* searches are sequential: the flags that once selected or tuned a
+   parallel search are gone, and passing one is a usage error rather
+   than a silently ignored option *)
+let test_removed_search_flags () =
+  List.iter
+    (fun (flag, args) ->
+      let code, text = run_out "%s %s" args flag in
+      check (flag ^ ": cmdliner usage error") 124 code;
+      Alcotest.(check bool) (flag ^ ": named as unknown") true
+        (contains text "unknown option"))
+    [
+      ("--jobs=2", "find -a miniht");
+      ("-j2", "find -a miniht");
+      ("--chunk=4", "replay -a adder -m failure -i /dev/null");
+      ("--spawn-cost=10", "debug -a miniht -m failure -s 1");
+    ]
+
 (* static analysis subcommand: report shape and the lint exit contract *)
 
 let test_analyze_clean () =
@@ -469,6 +486,8 @@ let () =
             test_lose_node_needs_shards;
           Alcotest.test_case "124: unknown io-fault clause" `Quick
             test_io_faults_unknown_clause;
+          Alcotest.test_case "124: removed search flags" `Quick
+            test_removed_search_flags;
         ] );
       ( "analyze",
         [

@@ -1,6 +1,6 @@
 (* Crash tolerance: a search killed mid-flight and resumed from its
    checkpoint must reach byte-for-byte the outcome of an uninterrupted
-   run; a worker crash poisons one attempt, not the search; wall-clock
+   run; a crashing attempt is poisoned, not the search; wall-clock
    deadlines degrade searches to partial outcomes instead of hanging.
 
    Most kills are simulated: running the same engine under a truncated
@@ -16,14 +16,8 @@ open Ddet_record
 open Ddet_replay
 open Ddet_apps
 
-let jobs = 4
-
-(* cap_domains off: these tests exercise the parallel pools themselves,
-   which the cores cap would silently bypass on small CI boxes *)
-let tuning = { Par_search.default_tuning with Par_search.cap_domains = false }
-
 (* ------------------------------------------------------------------ *)
-(* workloads (as in test_par) *)
+(* workloads *)
 
 let counter_prog ~iters =
   program ~name:"counter"
@@ -219,61 +213,11 @@ let test_restarts_kill_resume () =
   let make_of (b : Search.budget) ~attempt =
     (World.random ~seed:(b.Search.base_seed + attempt), None)
   in
-  kill_and_resume "restarts/seq"
+  kill_and_resume "restarts"
     (fun ?checkpoint ?resume b ->
       Search.random_restarts ?checkpoint ?resume b ~make:(make_of b) ~spec
         ~accept labeled)
-    budget;
-  kill_and_resume "restarts/par"
-    (fun ?checkpoint ?resume b ->
-      Par_search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
-        ~spec ~accept labeled)
     budget
-
-(* checkpoints are interchangeable between sequential and parallel runs:
-   a frontier written at jobs=1 resumes at jobs=4 (and vice versa) to the
-   same outcome *)
-let test_cross_jobs_resume () =
-  let labeled, spec, accept = counter_case () in
-  let budget =
-    { Search.max_attempts = 200; max_steps_per_attempt = 5_000; base_seed = 1;
-      deadline_s = None }
-  in
-  let make_of (b : Search.budget) ~attempt =
-    (World.random ~seed:(b.Search.base_seed + attempt), None)
-  in
-  let seq ?checkpoint ?resume b =
-    Search.random_restarts ?checkpoint ?resume b ~make:(make_of b) ~spec
-      ~accept labeled
-  in
-  let par ?checkpoint ?resume b =
-    Par_search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
-      ~spec ~accept labeled
-  in
-  let rec pick bs =
-    if bs > 20 then Alcotest.fail "cross: no killable base seed"
-    else
-      let b = { budget with Search.base_seed = bs } in
-      let full = seq b in
-      if full.Search.stats.Search.attempts >= 2 then (b, full) else pick (bs + 1)
-  in
-  let budget, full = pick 1 in
-  let last =
-    if full.Search.stats.Search.success then full.Search.stats.Search.attempts - 1
-    else full.Search.stats.Search.attempts / 2
-  in
-  let file = Filename.temp_file "ddet_crash" ".ckpt" in
-  let cut = { budget with Search.max_attempts = last } in
-  let load () =
-    match Checkpoint.load file with
-    | Ok c -> c
-    | Error e -> Alcotest.fail ("cross: " ^ e)
-  in
-  ignore (seq ~checkpoint:(Checkpoint.sink ~every:1 file) cut);
-  check_same_outcome "cross seq->par" full (par ~resume:(load ()) budget);
-  ignore (par ~checkpoint:(Checkpoint.sink ~every:1 file) cut);
-  check_same_outcome "cross par->seq" full (seq ~resume:(load ()) budget);
-  Sys.remove file
 
 let test_dfs_kill_resume () =
   let labeled = counter_prog ~iters:4 and spec = spec_out 8 in
@@ -284,14 +228,9 @@ let test_dfs_kill_resume () =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1;
       deadline_s = None }
   in
-  kill_and_resume "dfs/seq"
+  kill_and_resume "dfs"
     (fun ?checkpoint ?resume b ->
       Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept labeled)
-    budget;
-  kill_and_resume "dfs/par"
-    (fun ?checkpoint ?resume b ->
-      Par_search.dfs_schedules ~tuning ~jobs ?checkpoint ?resume b ~spec ~accept
-        labeled)
     budget
 
 let test_enumerate_kill_resume () =
@@ -301,14 +240,9 @@ let test_enumerate_kill_resume () =
     { Search.max_attempts = 50; max_steps_per_attempt = 1_000; base_seed = 1;
       deadline_s = None }
   in
-  kill_and_resume "inputs/seq"
+  kill_and_resume "inputs"
     (fun ?checkpoint ?resume b ->
       Search.enumerate_inputs ?checkpoint ?resume b ~spec ~accept adder_prog)
-    budget;
-  kill_and_resume "inputs/par"
-    (fun ?checkpoint ?resume b ->
-      Par_search.enumerate_inputs ~tuning ~jobs ?checkpoint ?resume b ~spec ~accept
-        adder_prog)
     budget
 
 (* ------------------------------------------------------------------ *)
@@ -332,32 +266,26 @@ let test_replayer_kill_resume_miniht () =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1;
       deadline_s = None }
   in
-  List.iter
-    (fun jobs ->
-      let name = Printf.sprintf "miniht j%d" jobs in
-      let full = Replayer.failure_det ~budget ~jobs labeled ~spec log in
-      Alcotest.(check bool) (name ^ ": reproduced") true
-        (full.Replayer.result <> None);
-      let kill_at = full.Replayer.attempts - 1 in
-      if kill_at < 1 then Alcotest.fail (name ^ ": nothing to kill");
-      let file = Filename.temp_file "ddet_crash" ".ckpt" in
-      ignore
-        (Replayer.failure_det
-           ~budget:{ budget with Search.max_attempts = kill_at }
-           ~jobs
-           ~checkpoint:(Checkpoint.sink ~every:1 file)
-           labeled ~spec log);
-      let c =
-        match Checkpoint.load file with
-        | Ok c -> c
-        | Error e -> Alcotest.fail (name ^ ": " ^ e)
-      in
-      Sys.remove file;
-      let resumed =
-        Replayer.failure_det ~budget ~jobs ~resume:c labeled ~spec log
-      in
-      check_same_replay name full resumed)
-    [ 1; jobs ]
+  let name = "miniht" in
+  let full = Replayer.failure_det ~budget labeled ~spec log in
+  Alcotest.(check bool) (name ^ ": reproduced") true
+    (full.Replayer.result <> None);
+  let kill_at = full.Replayer.attempts - 1 in
+  if kill_at < 1 then Alcotest.fail (name ^ ": nothing to kill");
+  let file = Filename.temp_file "ddet_crash" ".ckpt" in
+  ignore
+    (Replayer.failure_det
+       ~budget:{ budget with Search.max_attempts = kill_at }
+       ~checkpoint:(Checkpoint.sink ~every:1 file)
+       labeled ~spec log);
+  let c =
+    match Checkpoint.load file with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  Sys.remove file;
+  let resumed = Replayer.failure_det ~budget ~resume:c labeled ~spec log in
+  check_same_replay name full resumed
 
 let drop_plan =
   Fault.make ~seed:11
@@ -367,49 +295,62 @@ let drop_plan =
       Fault.drop ~prob:0.12 "repl";
     ]
 
-let test_session_kill_resume_cloudstore () =
+(* kill a cloudstore session replay mid-search and resume it; the killed
+   run is prepared with [Config.jobs = write_jobs], the resumed one with
+   [resume_jobs] *)
+let session_kill_resume ~name ~write_jobs ~resume_jobs =
   let cloud = Cloudstore.app () in
   match Workload.find_failing_seed ~faults:drop_plan cloud with
   | None -> Alcotest.fail "no failing cloudstore seed under the drop plan"
   | Some (seed, _) ->
-    List.iter
-      (fun jobs ->
-        let name = Printf.sprintf "cloudstore j%d" jobs in
-        let config = { Config.default with Config.jobs } in
-        let prepared = Session.prepare ~config Model.Failure_det cloud in
-        let _, log = Session.record ~faults:drop_plan prepared ~seed in
-        (* pick a base seed whose search needs > 1 attempt, so the kill
-           lands mid-flight *)
-        let rec pick bs =
-          if bs > 20 then Alcotest.fail (name ^ ": no killable base seed")
-          else
-            let budget =
-              { config.Config.budget with Search.base_seed = bs }
-            in
-            let full = Session.replay ~budget prepared log in
-            if full.Replayer.attempts >= 2 then (budget, full)
-            else pick (bs + 1)
-        in
-        let budget, full = pick 1 in
-        let kill_at =
-          if full.Replayer.result <> None then full.Replayer.attempts - 1
-          else full.Replayer.attempts / 2
-        in
-        let file = Filename.temp_file "ddet_crash" ".ckpt" in
-        ignore
-          (Session.replay
-             ~budget:{ budget with Search.max_attempts = kill_at }
-             ~checkpoint:(Checkpoint.sink ~every:1 file)
-             prepared log);
-        let c =
-          match Checkpoint.load file with
-          | Ok c -> c
-          | Error e -> Alcotest.fail (name ^ ": " ^ e)
-        in
-        Sys.remove file;
-        let resumed = Session.replay ~budget ~resume:c prepared log in
-        check_same_replay name full resumed)
-      [ 1; jobs ]
+    let prepared_at jobs =
+      Session.prepare
+        ~config:{ Config.default with Config.jobs }
+        Model.Failure_det cloud
+    in
+    let config = Config.default in
+    let prepared = prepared_at write_jobs in
+    let _, log = Session.record ~faults:drop_plan prepared ~seed in
+    (* pick a base seed whose search needs > 1 attempt, so the kill
+       lands mid-flight *)
+    let rec pick bs =
+      if bs > 20 then Alcotest.fail (name ^ ": no killable base seed")
+      else
+        let budget = { config.Config.budget with Search.base_seed = bs } in
+        let full = Session.replay ~budget prepared log in
+        if full.Replayer.attempts >= 2 then (budget, full) else pick (bs + 1)
+    in
+    let budget, full = pick 1 in
+    let kill_at =
+      if full.Replayer.result <> None then full.Replayer.attempts - 1
+      else full.Replayer.attempts / 2
+    in
+    let file = Filename.temp_file "ddet_crash" ".ckpt" in
+    ignore
+      (Session.replay
+         ~budget:{ budget with Search.max_attempts = kill_at }
+         ~checkpoint:(Checkpoint.sink ~every:1 file)
+         prepared log);
+    let c =
+      match Checkpoint.load file with
+      | Ok c -> c
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+    in
+    Sys.remove file;
+    let resumed =
+      Session.replay ~budget ~resume:c (prepared_at resume_jobs) log
+    in
+    check_same_replay name full resumed
+
+let test_session_kill_resume_cloudstore () =
+  session_kill_resume ~name:"cloudstore" ~write_jobs:1 ~resume_jobs:1
+
+(* searches are sequential and [Config.jobs] is inert: a checkpoint
+   written under one jobs setting resumes under another to the
+   uninterrupted outcome, in both directions *)
+let test_cross_jobs_resume () =
+  session_kill_resume ~name:"cross 1->4" ~write_jobs:1 ~resume_jobs:4;
+  session_kill_resume ~name:"cross 4->1" ~write_jobs:4 ~resume_jobs:1
 
 (* ------------------------------------------------------------------ *)
 (* a real SIGKILL: the child process checkpoints every attempt; the
@@ -473,7 +414,7 @@ let test_sigkill_resume () =
 let test_poisoned_attempt_skipped () =
   let labeled = counter_prog ~iters:10 and spec = spec_out 20 in
   (* exhaustion run: every attempt is judged, so the poisoned one (3) is
-     always reached, sequentially and in parallel *)
+     always reached *)
   let budget =
     { Search.max_attempts = 6; max_steps_per_attempt = 5_000; base_seed = 1;
       deadline_s = None }
@@ -482,30 +423,18 @@ let test_poisoned_attempt_skipped () =
     if attempt = 3 then failwith "hostile world"
     else (World.random ~seed:attempt, None)
   in
-  let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
-  let p =
-    Par_search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
-  in
-  List.iter
-    (fun (name, (o : Search.outcome)) ->
-      Alcotest.(check int)
-        (name ^ ": search survived to exhaustion")
-        budget.Search.max_attempts o.Search.stats.Search.attempts;
-      match o.Search.stats.Search.incidents with
-      | [ i ] ->
-        Alcotest.(check int) (name ^ ": incident attempt") 3 i.Search.at_attempt;
-        Alcotest.(check bool) (name ^ ": poisoned") true i.Search.poisoned;
-        Alcotest.(check int)
-          (name ^ ": bounded retries")
-          Search.max_job_retries i.Search.retries
-      | incs ->
-        Alcotest.fail
-          (Printf.sprintf "%s: expected 1 incident, got %d" name
-             (List.length incs)))
-    [ ("seq", s); ("par", p) ];
-  check_same_outcome "poisoned seq=par"
-    { s with Search.stats = { s.Search.stats with Search.incidents = [] } }
-    { p with Search.stats = { p.Search.stats with Search.incidents = [] } }
+  let o = Search.random_restarts budget ~make ~spec ~accept:never labeled in
+  Alcotest.(check int) "search survived to exhaustion"
+    budget.Search.max_attempts o.Search.stats.Search.attempts;
+  match o.Search.stats.Search.incidents with
+  | [ i ] ->
+    Alcotest.(check int) "incident attempt" 3 i.Search.at_attempt;
+    Alcotest.(check bool) "poisoned" true i.Search.poisoned;
+    Alcotest.(check int) "bounded retries" Search.max_job_retries
+      i.Search.retries
+  | incs ->
+    Alcotest.fail
+      (Printf.sprintf "expected 1 incident, got %d" (List.length incs))
 
 let test_flaky_attempt_requeued () =
   let labeled = counter_prog ~iters:10 and spec = spec_out 20 in
@@ -539,11 +468,9 @@ let test_flaky_attempt_requeued () =
 
 let test_poisoned_scan_probe () =
   let f n = if n = 8 then failwith "probe crash" else if n * n > 50 then Some (n * n) else None in
-  let s = Par_search.first_success ~from:0 ~count:20 ~f () in
-  let p = Par_search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
+  let s = Workload.first_success ~from:0 ~count:20 ~f () in
   Alcotest.(check (option (pair int int)))
-    "sequential scan skips the crashing probe" (Some (9, 81)) s;
-  Alcotest.(check (option (pair int int))) "parallel scan agrees" s p
+    "scan skips the crashing probe" (Some (9, 81)) s
 
 (* ------------------------------------------------------------------ *)
 (* deadlines *)
@@ -555,19 +482,10 @@ let test_deadline_exhausts_immediately () =
       base_seed = 1; deadline_s = Some 0.0 }
   in
   let make ~attempt = (World.random ~seed:attempt, None) in
-  let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
-  let p =
-    Par_search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
-  in
-  List.iter
-    (fun (name, (o : Search.outcome)) ->
-      Alcotest.(check bool) (name ^ ": deadline hit") true
-        o.Search.stats.Search.deadline_hit;
-      Alcotest.(check int) (name ^ ": no attempts") 0
-        o.Search.stats.Search.attempts;
-      Alcotest.(check bool) (name ^ ": no result") true
-        (o.Search.result = None))
-    [ ("seq", s); ("par", p) ]
+  let o = Search.random_restarts budget ~make ~spec ~accept:never labeled in
+  Alcotest.(check bool) "deadline hit" true o.Search.stats.Search.deadline_hit;
+  Alcotest.(check int) "no attempts" 0 o.Search.stats.Search.attempts;
+  Alcotest.(check bool) "no result" true (o.Search.result = None)
 
 let test_deadline_cancels_long_attempt () =
   (* one attempt is far longer than the deadline: the interpreter's
@@ -687,11 +605,13 @@ let test_resume_engine_mismatch_rejected () =
 
 let test_scan_kill_resume () =
   let f n = if n * n > 50 then Some (n * n) else None in
-  let full = Par_search.first_success ~from:0 ~count:20 ~f () in
+  let full = Workload.first_success ~from:0 ~count:20 ~f () in
   Alcotest.(check (option (pair int int))) "baseline" (Some (8, 64)) full;
+  Alcotest.(check (option (pair int int))) "exhausted scan" None
+    (Workload.first_success ~from:0 ~count:5 ~f ());
   let file = Filename.temp_file "ddet_crash" ".ckpt" in
   ignore
-    (Par_search.first_success
+    (Workload.first_success
        ~checkpoint:(Checkpoint.sink ~every:1 file)
        ~from:0 ~count:4 ~f ());
   let c =
@@ -700,15 +620,85 @@ let test_scan_kill_resume () =
     | Error e -> Alcotest.fail e
   in
   Sys.remove file;
-  List.iter
-    (fun jobs ->
-      let resumed =
-        Par_search.first_success ~tuning ~jobs ~resume:c ~from:0 ~count:20 ~f ()
-      in
-      Alcotest.(check (option (pair int int)))
-        (Printf.sprintf "resumed scan j%d" jobs)
-        full resumed)
-    [ 1; jobs ]
+  let resumed = Workload.first_success ~resume:c ~from:0 ~count:20 ~f () in
+  Alcotest.(check (option (pair int int))) "resumed scan" full resumed
+
+(* ------------------------------------------------------------------ *)
+(* the checkpoint format is stable across versions: these files were
+   written by an earlier version of the engines, mid-search, and must
+   resume to the outcome an uninterrupted search reaches today — which
+   is pinned to the counters that version reported *)
+
+let dfs_ckpt_v1 = {|ddet-ckpt v1
+engine dfs
+base-seed 1
+attempt 6
+steps 316
+pruned 2
+prefix 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+best 0x0p+0 1 prefix
+seen -4118488393291735462 -3913571649463774627 -3908440010549778961 -3903707689758696829 -1711921580695199284 -1684991995782502664 -1174474629143813631 -849345644303575663 -584353674961900460 -8640957796653088 709311044901754803 1216386885703660409 1544875063347848246 1557165147956979916 1646116683572741414 1847557817540106083 3100958293176783218 3242829539469461434 3487024412887701093 3566565501092482415 3567754474000353538 3656188343555924636 4118938221105312691 4346291798350392836 4493932848332816596
+end 3e331443
+|}
+
+let restarts_ckpt_v1 = {|ddet-ckpt v1
+engine restarts
+base-seed 1
+attempt 6
+steps 558
+pruned 0
+best 0x1p+0 1 seed
+end c45e0a3b
+|}
+
+let load_literal name text =
+  let file = Filename.temp_file "ddet_ckpt" ".ckpt" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc text);
+  let c =
+    match Checkpoint.load file with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  Sys.remove file;
+  c
+
+let check_stats name (o : Search.outcome) ~attempts ~pruned ~steps =
+  Alcotest.(check bool) (name ^ ": success") true o.Search.stats.Search.success;
+  Alcotest.(check int) (name ^ ": attempts") attempts
+    o.Search.stats.Search.attempts;
+  Alcotest.(check int) (name ^ ": pruned") pruned o.Search.stats.Search.pruned;
+  Alcotest.(check int) (name ^ ": steps") steps
+    o.Search.stats.Search.total_steps
+
+let test_old_checkpoints_resume () =
+  let budget =
+    { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1;
+      deadline_s = None }
+  in
+  (* DFS on the 4-iteration counter, cut after 6 judged attempts *)
+  let labeled = counter_prog ~iters:4 and spec = spec_out 8 in
+  let log = failure_log labeled spec (find_failing_seed labeled spec) in
+  let accept = Constraints.failure_matches log in
+  let score = Constraints.closeness log in
+  let full = Search.dfs_schedules ~score budget ~spec ~accept labeled in
+  check_stats "dfs full" full ~attempts:9 ~pruned:22 ~steps:911;
+  let c = load_literal "dfs" dfs_ckpt_v1 in
+  check_same_outcome "dfs resumed"
+    full
+    (Search.dfs_schedules ~score ~resume:c budget ~spec ~accept labeled);
+  (* restarts on the 10-iteration counter, cut after 6 judged attempts *)
+  let labeled, spec, accept = counter_case () in
+  let score r = float_of_int (List.length (Trace.outputs_on r.Interp.trace "out")) in
+  let make ~attempt =
+    (World.random ~seed:(budget.Search.base_seed + attempt), None)
+  in
+  let full = Search.random_restarts ~score budget ~make ~spec ~accept labeled in
+  check_stats "restarts full" full ~attempts:12 ~pruned:0 ~steps:1116;
+  let c = load_literal "restarts" restarts_ckpt_v1 in
+  check_same_outcome "restarts resumed"
+    full
+    (Search.random_restarts ~score ~resume:c budget ~make ~spec ~accept
+       labeled)
 
 (* ------------------------------------------------------------------ *)
 
@@ -717,10 +707,10 @@ let () =
     [
       ( "kill-and-resume",
         [
-          Alcotest.test_case "restarts on the adder race" `Quick
-            test_restarts_kill_resume;
           Alcotest.test_case "checkpoints interchange across jobs" `Quick
             test_cross_jobs_resume;
+          Alcotest.test_case "restarts on the adder race" `Quick
+            test_restarts_kill_resume;
           Alcotest.test_case "dfs on the adder race" `Quick
             test_dfs_kill_resume;
           Alcotest.test_case "input enumeration on adder" `Quick
@@ -759,5 +749,7 @@ let () =
             test_checkpoint_damage_detected;
           Alcotest.test_case "mismatched resume rejected" `Quick
             test_resume_engine_mismatch_rejected;
+          Alcotest.test_case "earlier-version files resume" `Quick
+            test_old_checkpoints_resume;
         ] );
     ]

@@ -298,6 +298,31 @@ let test_unbound_variable () =
   let p = simple_prog [ output "out" (v "ghost") ] in
   check_status "crashed" (run p)
 
+(* a slot that really holds unit must not read as the compiled
+   interpreter's unbound-variable sentinel, in either interpreter: an
+   empty try_recv and an implicit unit return both store unit, and
+   reading either must not crash *)
+let test_unit_slot_is_bound () =
+  let p =
+    program ~name:"t" ~regions:[] ~inputs:[] ~main:"main"
+      [
+        func "main" []
+          [
+            try_recv "ok" "x" "ch";
+            output "out" (v "x");
+            call ~dest:"r" "proc" [];
+            output "out" (v "r");
+          ];
+        func "proc" [] [ skip ];
+      ]
+  in
+  List.iter
+    (fun r ->
+      check_status "done" r;
+      Alcotest.(check (list value_testable)) "both read as unit"
+        [ Value.unit; Value.unit ] (outputs_on r "out"))
+    [ run p; Interp.run_compiled (Interp.compile p) (World.round_robin ()) ]
+
 let test_crash_sid_stable () =
   let p = simple_prog [ skip; fail "boom" ] in
   let r1 = run p and r2 = run p in
@@ -859,6 +884,7 @@ let () =
           Alcotest.test_case "assert" `Quick test_assert_failure;
           Alcotest.test_case "fail" `Quick test_fail_stmt;
           Alcotest.test_case "unbound var" `Quick test_unbound_variable;
+          Alcotest.test_case "unit slot is bound" `Quick test_unit_slot_is_bound;
           Alcotest.test_case "crash identity stable" `Quick test_crash_sid_stable;
           Alcotest.test_case "type error" `Quick test_type_error_crashes;
         ] );

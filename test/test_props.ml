@@ -562,129 +562,55 @@ let prop_resume_parity =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* parallel scheduler parity *)
+(* supervision *)
 
-(* The tentpole law of the chunked scheduler: a parallel engine is
-   byte-identical to its sequential counterpart at ANY tuning — random
-   chunk sizes, random speculation windows, every engine shape (indexed
-   pool for restarts, chain pool for the odometers). cap_domains is off
-   so the pools genuinely run even on one-core machines, and
-   spawn_cost_steps is zeroed so the min-work heuristic cannot quietly
-   take the sequential shortcut this law is supposed to contrast with. *)
-let par_budget pseed =
-  {
-    Search.max_attempts = 12;
-    max_steps_per_attempt = 2_000;
-    base_seed = pseed;
-    deadline_s = None;
-  }
-
-let deviation_accept labeled budget =
-  let base, _ =
-    Search.run_schedule_prefix ~max_steps:budget.Search.max_steps_per_attempt
-      ~prefix:[||] labeled
-  in
-  fun (r : Interp.result) ->
-    r.Interp.outputs <> base.Interp.outputs
-    || r.Interp.failure <> base.Interp.failure
-
-let byte_identical_results (a : Search.outcome) (b : Search.outcome) =
-  match (a.Search.result, b.Search.result) with
-  | Some ra, Some rb ->
-    Trace.events ra.Interp.trace = Trace.events rb.Interp.trace
-  | None, None -> true
-  | _ -> false
-
-let prop_parallel_parity =
+(* Attempts that deterministically crash are retried and then poisoned:
+   the search survives, and the poisoned attempts are exactly the
+   crashing ones it reached. *)
+let prop_poisoned_attempts_are_the_crashing_ones =
   QCheck2.Test.make
-    ~name:"parallel search equals sequential at any chunk/window" ~count:24
-    ~print:(fun (pseed, chunk, wpj, engine) ->
-      Printf.sprintf "program seed %d, chunk %d, window/job %d, engine %s"
-        pseed chunk wpj
-        [| "restarts"; "inputs"; "dfs" |].(engine))
-    QCheck2.Gen.(
-      quad (int_range 1 5_000) (int_range 1 8) (int_range 1 8) (int_range 0 2))
-    (fun (pseed, chunk, wpj, engine) ->
+    ~name:"poisoned attempts are exactly the crashing ones" ~count:20
+    ~print:(fun (pseed, modk) ->
+      Printf.sprintf "program seed %d, crash every %d-th attempt" pseed modk)
+    QCheck2.Gen.(pair (int_range 1 5_000) (int_range 2 5))
+    (fun (pseed, modk) ->
       let labeled = program_of pseed in
-      let budget = par_budget pseed in
-      let accept = deviation_accept labeled budget in
-      let score r =
-        if accept r then 1.0
-        else float_of_int (List.length r.Interp.outputs) /. 100.
-      in
-      let tuning =
+      let budget =
         {
-          Par_search.chunk;
-          window_per_job = wpj;
-          spawn_cost_steps = 0;
-          cap_domains = false;
+          Search.max_attempts = 12;
+          max_steps_per_attempt = 2_000;
+          base_seed = pseed;
+          deadline_s = None;
         }
       in
-      let spec = Spec.accept_all in
-      let seq, par =
-        match engine with
-        | 0 ->
-          let make ~attempt =
-            (World.random ~seed:(budget.Search.base_seed + attempt), None)
-          in
-          ( Search.random_restarts ~score budget ~make ~spec ~accept labeled,
-            Par_search.random_restarts ~jobs:3 ~tuning ~score budget ~make
-              ~spec ~accept labeled )
-        | 1 ->
-          ( Search.enumerate_inputs ~score budget ~spec ~accept labeled,
-            Par_search.enumerate_inputs ~jobs:3 ~tuning ~score budget ~spec
-              ~accept labeled )
-        | _ ->
-          ( Search.dfs_schedules ~score budget ~spec ~accept labeled,
-            Par_search.dfs_schedules ~jobs:3 ~tuning ~score budget ~spec
-              ~accept labeled )
+      let base, _ =
+        Search.run_schedule_prefix
+          ~max_steps:budget.Search.max_steps_per_attempt ~prefix:[||] labeled
       in
-      same_search_outcome seq par && byte_identical_results seq par)
-
-(* Poison parity: attempts that deterministically crash are retried and
-   then skipped identically by the sequential supervisor and the parallel
-   pool — same surviving outcome, same poisoned attempt indices. *)
-let poisoned_attempts (o : Search.outcome) =
-  List.sort compare
-    (List.filter_map
-       (fun (i : Search.incident) ->
-         if i.Search.poisoned then Some i.Search.at_attempt else None)
-       o.Search.stats.Search.incidents)
-
-let prop_parallel_poison_parity =
-  QCheck2.Test.make
-    ~name:"poisoned attempts leave parallel and sequential in lockstep"
-    ~count:20
-    ~print:(fun (pseed, chunk, modk) ->
-      Printf.sprintf "program seed %d, chunk %d, crash every %d-th attempt"
-        pseed chunk modk)
-    QCheck2.Gen.(
-      triple (int_range 1 5_000) (int_range 1 8) (int_range 2 5))
-    (fun (pseed, chunk, modk) ->
-      let labeled = program_of pseed in
-      let budget = par_budget pseed in
-      let accept = deviation_accept labeled budget in
-      let tuning =
-        {
-          Par_search.chunk;
-          window_per_job = 4;
-          spawn_cost_steps = 0;
-          cap_domains = false;
-        }
+      let accept (r : Interp.result) =
+        r.Interp.outputs <> base.Interp.outputs
+        || r.Interp.failure <> base.Interp.failure
       in
       let make ~attempt =
         if attempt mod modk = 0 then failwith "injected attempt crash"
         else (World.random ~seed:(budget.Search.base_seed + attempt), None)
       in
-      let spec = Spec.accept_all in
-      let seq = Search.random_restarts budget ~make ~spec ~accept labeled in
-      let par =
-        Par_search.random_restarts ~jobs:3 ~tuning budget ~make ~spec ~accept
+      let o =
+        Search.random_restarts budget ~make ~spec:Spec.accept_all ~accept
           labeled
       in
-      same_search_outcome seq par
-      && byte_identical_results seq par
-      && poisoned_attempts seq = poisoned_attempts par)
+      let poisoned =
+        List.filter_map
+          (fun (i : Search.incident) ->
+            if i.Search.poisoned then Some i.Search.at_attempt else None)
+          o.Search.stats.Search.incidents
+      in
+      let crashing =
+        List.filter
+          (fun a -> a mod modk = 0)
+          (List.init o.Search.stats.Search.attempts (fun a -> a + 1))
+      in
+      poisoned = crashing)
 
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
@@ -720,7 +646,6 @@ let () =
         List.map to_alcotest
           [ prop_pruning_sound; prop_pruning_preserves_success ] );
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
-      ( "parallel",
-        List.map to_alcotest
-          [ prop_parallel_parity; prop_parallel_poison_parity ] );
+      ( "supervision",
+        List.map to_alcotest [ prop_poisoned_attempts_are_the_crashing_ones ] );
     ]

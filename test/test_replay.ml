@@ -367,6 +367,220 @@ let test_rcse_full_log_replays_immediately () =
       (r.Interp.outputs = original.Interp.outputs)
   | None -> Alcotest.fail "full-fidelity rcse must replay"
 
+(* ------------------------------------------------------------------ *)
+(* restarts and the DFS pruner on the racy counter *)
+
+let spec_out n =
+  Spec.make "sum" (fun r ->
+      match Trace.outputs_on r.Interp.trace "out" with
+      | [ Value.Vint k ] when k = n -> Ok ()
+      | _ -> Error "lost-update")
+
+(* a recorded failing run of [labeled]: the lowest failing seed's log *)
+let failure_log labeled spec =
+  let rec scan s =
+    if s > 500 then Alcotest.fail "no failing seed"
+    else
+      let r = Spec.apply spec (Interp.run labeled (World.random ~seed:s)) in
+      if r.Interp.failure <> None then s else scan (s + 1)
+  in
+  let _, log =
+    Recorder.record (Failure_recorder.create ()) labeled ~spec
+      ~world:(World.random ~seed:(scan 1))
+  in
+  log
+
+let test_pruning_shrinks_dfs () =
+  let labeled = counter_prog ~iters:4 and spec = spec_out 8 in
+  let accept = Constraints.failure_matches (failure_log labeled spec) in
+  let budget =
+    { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
+  in
+  let pruned = Search.dfs_schedules budget ~spec ~accept labeled in
+  let plain = Search.dfs_schedules ~prune:false budget ~spec ~accept labeled in
+  Alcotest.(check bool) "both reproduce" true
+    (pruned.Search.stats.Search.success && plain.Search.stats.Search.success);
+  Alcotest.(check bool) "subtrees were pruned" true
+    (pruned.Search.stats.Search.pruned > 0);
+  Alcotest.(check bool) "pruning never needs more attempts" true
+    (pruned.Search.stats.Search.attempts <= plain.Search.stats.Search.attempts);
+  Alcotest.(check bool) "pruning never burns more steps" true
+    (pruned.Search.stats.Search.total_steps
+    <= plain.Search.stats.Search.total_steps)
+
+let test_clamped_digit_is_exhausted () =
+  let labeled = counter_prog ~iters:2 in
+  (* digit 99 can never be a real branch index: the probe must stop at the
+     clamped decision and report the true fan-out so the odometer carries
+     past the dead branch instead of re-running its clamped duplicate *)
+  let probe =
+    Engine.exec_schedule ~budget:5_000 ~prefix:[| 99 |] labeled
+  in
+  (match probe.Engine.early with
+  | Engine.Early_clamped -> ()
+  | Engine.Ran | Engine.Early_pruned ->
+    Alcotest.fail "out-of-range digit should clamp");
+  (match Engine.classify probe with
+  | Engine.Skipped _ -> ()
+  | Engine.Attempt _ -> Alcotest.fail "clamped probe must not be an attempt");
+  (match probe.Engine.sizes with
+  | [ n ] -> Alcotest.(check bool) "fan-out recorded" true (n >= 1)
+  | _ -> Alcotest.fail "clamped probe should report exactly the clamped digit");
+  Alcotest.(check bool) "odometer treats the branch as exhausted" true
+    (Engine.advance [| 99 |] probe.Engine.sizes = None)
+
+(* ------------------------------------------------------------------ *)
+(* parity: a search is a pure function of its inputs. Two fresh runs of
+   an engine or driver agree byte for byte, the inert [Config.jobs] knob
+   changes nothing, and the seed scans agree with a hand-written scan. *)
+
+let check_same_result name (a : Interp.result option) (b : Interp.result option)
+    =
+  match (a, b) with
+  | Some r1, Some r2 ->
+    Alcotest.(check bool)
+      (name ^ ": byte-identical accepted trace")
+      true
+      (Trace.events r1.Interp.trace = Trace.events r2.Interp.trace);
+    Alcotest.(check bool)
+      (name ^ ": same outputs")
+      true
+      (r1.Interp.outputs = r2.Interp.outputs);
+    Alcotest.(check bool)
+      (name ^ ": same failure")
+      true
+      (r1.Interp.failure = r2.Interp.failure)
+  | None, None -> ()
+  | _ -> Alcotest.fail (name ^ ": one run accepted, the other did not")
+
+let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
+  Alcotest.(check int) (name ^ ": attempts") a.Search.stats.Search.attempts
+    b.Search.stats.Search.attempts;
+  Alcotest.(check int)
+    (name ^ ": total steps")
+    a.Search.stats.Search.total_steps b.Search.stats.Search.total_steps;
+  Alcotest.(check int) (name ^ ": pruned") a.Search.stats.Search.pruned
+    b.Search.stats.Search.pruned;
+  Alcotest.(check bool) (name ^ ": success") a.Search.stats.Search.success
+    b.Search.stats.Search.success;
+  check_same_result name a.Search.result b.Search.result
+
+let check_same_replay name (a : Replayer.outcome) (b : Replayer.outcome) =
+  Alcotest.(check int) (name ^ ": attempts") a.Replayer.attempts
+    b.Replayer.attempts;
+  Alcotest.(check int) (name ^ ": steps") a.Replayer.total_steps
+    b.Replayer.total_steps;
+  check_same_result name a.Replayer.result b.Replayer.result
+
+let test_restarts_parity_counter () =
+  let labeled = counter_prog ~iters:10 and spec = spec_out 20 in
+  let accept = Constraints.failure_matches (failure_log labeled spec) in
+  let budget =
+    { Search.max_attempts = 200; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
+  in
+  let make ~attempt = (World.random ~seed:attempt, None) in
+  let run () = Search.random_restarts budget ~make ~spec ~accept labeled in
+  let o = run () in
+  Alcotest.(check bool) "restarts reproduce the race" true
+    o.Search.stats.Search.success;
+  check_same_outcome "restarts/counter" o (run ())
+
+let test_dfs_parity_counter () =
+  let labeled = counter_prog ~iters:4 and spec = spec_out 8 in
+  let accept = Constraints.failure_matches (failure_log labeled spec) in
+  let budget =
+    { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
+  in
+  let run () = Search.dfs_schedules budget ~spec ~accept labeled in
+  let o = run () in
+  Alcotest.(check bool) "dfs reproduces the race" true
+    o.Search.stats.Search.success;
+  Alcotest.(check bool) "pruning fired" true (o.Search.stats.Search.pruned > 0);
+  check_same_outcome "dfs/counter" o (run ())
+
+let test_enumerate_inputs_parity_adder () =
+  let spec = Spec.accept_all in
+  let accept r = Trace.outputs_on r.Interp.trace "sum" = [ Value.int 7 ] in
+  let budget =
+    { Search.max_attempts = 50; max_steps_per_attempt = 1_000; base_seed = 1; deadline_s = None }
+  in
+  let run () = Search.enumerate_inputs budget ~spec ~accept adder_prog in
+  let o = run () in
+  Alcotest.(check bool) "enumeration reaches sum=7" true
+    o.Search.stats.Search.success;
+  check_same_outcome "inputs/adder" o (run ())
+
+(* miniht's issue-63 race, through the failure-determinism driver *)
+let test_replayer_parity_miniht () =
+  let app = Ddet_apps.Miniht.app () in
+  let labeled = app.Ddet_apps.App.labeled and spec = app.Ddet_apps.App.spec in
+  let log = failure_log labeled spec in
+  let budget =
+    { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
+  in
+  let run () = Replayer.failure_det ~budget labeled ~spec log in
+  let o = run () in
+  Alcotest.(check bool) "miniht: reproduced" true (o.Replayer.result <> None);
+  check_same_replay "miniht" o (run ())
+
+(* a fault-injected world through the whole Session pipeline; searches
+   are sequential, so [Config.jobs] must not move the outcome *)
+let test_session_parity_faulted_cloudstore () =
+  let open Ddet in
+  let cloud = Ddet_apps.Cloudstore.app () in
+  let drop_plan =
+    Fault.make ~seed:11
+      [
+        Fault.drop ~prob:0.15 "ack_0";
+        Fault.drop ~prob:0.15 "ack_1";
+        Fault.drop ~prob:0.12 "repl";
+      ]
+  in
+  match Ddet_apps.Workload.find_failing_seed ~faults:drop_plan cloud with
+  | None -> Alcotest.fail "no failing cloudstore seed under the drop plan"
+  | Some (seed, _) ->
+    let outcome_at jobs =
+      let config = { Config.default with Config.jobs } in
+      let prepared = Session.prepare ~config Model.Failure_det cloud in
+      let _, log = Session.record ~faults:drop_plan prepared ~seed in
+      Session.replay prepared log
+    in
+    let o = outcome_at 1 in
+    Alcotest.(check bool) "faulted: reproduced" true (o.Replayer.result <> None);
+    check_same_replay "faulted" o (outcome_at 4)
+
+let test_first_success_parity () =
+  let f n = if n * n > 50 then Some (n * n) else None in
+  let reference ~from ~count =
+    List.find_map
+      (fun k -> Option.map (fun v -> (k, v)) (f k))
+      (List.init count (fun k -> from + k))
+  in
+  let s = Ddet_apps.Workload.first_success ~from:0 ~count:20 ~f () in
+  Alcotest.(check (option (pair int int))) "lowest index wins" (Some (8, 64)) s;
+  Alcotest.(check (option (pair int int))) "agrees with a plain scan"
+    (reference ~from:0 ~count:20) s;
+  let none = Ddet_apps.Workload.first_success ~from:0 ~count:5 ~f () in
+  Alcotest.(check (option (pair int int))) "exhausted scan" None none
+
+let test_find_failing_seed_parity () =
+  let open Ddet_apps in
+  let app = Miniht.app () in
+  let rec reference seed =
+    if seed > 500 then None
+    else
+      let r = App.production_run app ~seed in
+      if Ddet_metrics.Root_cause.observed app.App.catalog r <> [] then Some (seed, r)
+      else reference (seed + 1)
+  in
+  match (Workload.find_failing_seed app, reference 1) with
+  | Some (s1, r1), Some (s2, r2) ->
+    Alcotest.(check int) "same seed" s2 s1;
+    Alcotest.(check bool) "same run" true
+      (Trace.events r1.Interp.trace = Trace.events r2.Interp.trace)
+  | None, None -> Alcotest.fail "miniht should have a failing seed"
+  | _ -> Alcotest.fail "scan outcomes disagree"
+
 let () =
   Alcotest.run "replay"
     [
@@ -399,6 +613,30 @@ let () =
           Alcotest.test_case "dfs deterministic" `Quick test_dfs_deterministic;
           Alcotest.test_case "dfs exhausts" `Quick test_dfs_exhausts_budget_on_unsatisfiable;
           Alcotest.test_case "dfs fixed inputs" `Quick test_dfs_fixed_inputs;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "restarts on the adder race" `Quick
+            test_restarts_parity_counter;
+          Alcotest.test_case "dfs on the adder race" `Quick
+            test_dfs_parity_counter;
+          Alcotest.test_case "input enumeration on adder" `Quick
+            test_enumerate_inputs_parity_adder;
+          Alcotest.test_case "failure-det driver on miniht" `Slow
+            test_replayer_parity_miniht;
+          Alcotest.test_case "session on fault-injected cloudstore" `Slow
+            test_session_parity_faulted_cloudstore;
+          Alcotest.test_case "first_success scan" `Quick
+            test_first_success_parity;
+          Alcotest.test_case "find_failing_seed scan" `Quick
+            test_find_failing_seed_parity;
+        ] );
+      ( "pruning",
+        [
+          Alcotest.test_case "pruning shrinks the dfs" `Quick
+            test_pruning_shrinks_dfs;
+          Alcotest.test_case "clamped digit is exhausted" `Quick
+            test_clamped_digit_is_exhausted;
         ] );
       ( "drivers",
         [
