@@ -165,10 +165,11 @@ let attempts_arg =
 let segments_arg =
   Arg.(value & opt (some int) None & info [ "segments" ] ~docv:"N"
          ~doc:"Save the recording segmented, $(docv) entries per segment, \
-               instead of monolithic: crash-tolerant persistence where a \
-               torn write loses at most one unsealed segment. Produces \
-               FILE.header, FILE.NNNN.seg and FILE.manifest; $(b,replay) \
-               detects the segment set automatically.")
+               instead of monolithic: each segment is a self-checking log \
+               written in order, so a save torn by a storage failure keeps \
+               every segment written before it. Produces FILE.NNNN.seg \
+               and FILE.manifest; $(b,replay) detects the segment set \
+               automatically.")
 
 let shards_arg =
   Arg.(value & flag & info [ "shards" ]
@@ -371,7 +372,7 @@ let cmd_record app model seed verbose out faults segments shards io_faults
     | Ok () ->
       (match segments with
       | Some _ ->
-        Printf.printf "saved segmented to %s (.header, .NNNN.seg, .manifest)\n"
+        Printf.printf "saved segmented to %s (.NNNN.seg, .manifest)\n"
           path
       | None -> Printf.printf "saved to %s\n" path);
       0
@@ -380,7 +381,7 @@ let cmd_record app model seed verbose out faults segments shards io_faults
       (match segments with
       | Some _ ->
         err
-          "segments sealed before the failure remain at %s; \
+          "segments written before the failure remain at %s; \
            replay recovers that prefix automatically"
           path
       | None -> ());

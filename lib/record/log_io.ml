@@ -491,29 +491,8 @@ let of_string_report ?(mode = Strict) s =
 
 let of_string ?mode s = Result.map fst (of_string_report ?mode s)
 
-(* Atomic file replacement: write the whole payload to a fresh temp file
-   in the destination directory, then rename over the target. A crash at
-   any point leaves either the old file or the new one — never a
-   Strict-rejected half log — because rename within a directory is atomic
-   on POSIX filesystems. *)
-let atomic_write path s =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".ddet" ".tmp" in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc s;
-         flush oc)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-(* Store-routed save: same atomic discipline, but every byte flows
-   through the pluggable store, so fault injection and retry policies
-   apply to monolithic saves too. *)
+(* Atomic save through the pluggable store (temp write, fsync, rename),
+   so fault injection and retry policies apply to monolithic saves too. *)
 let save_via store path log = Store.atomic_write store path (to_string log)
 
 let save path log =
@@ -521,10 +500,18 @@ let save path log =
   | Ok () -> ()
   | Error e -> raise (Sys_error (Store.error_to_string e))
 
-let load_report ?mode path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string_report ?mode (In_channel.input_all ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let load_report ?mode path = of_string_report ?mode (read_file path)
 
 let load ?mode path = Result.map fst (load_report ?mode path)
+
+let rec chunks k = function
+  | [] -> []
+  | l ->
+    let rec take n acc = function
+      | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let head, rest = take k [] l in
+    head :: chunks k rest

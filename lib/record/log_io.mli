@@ -61,7 +61,7 @@ val of_string : ?mode:mode -> string -> (Log.t, string) result
 val of_string_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
 (** [save path log] writes the file (v2) {e atomically}: the payload goes
-    to a fresh temp file in the destination directory which is then
+    to [path ^ ".tmp"] through {!Store.default}, is fsynced, and is then
     renamed over [path], so a crash mid-write can never leave a
     half-written log behind — readers see the old file or the new one,
     nothing in between. *)
@@ -83,16 +83,19 @@ val load_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
 (**/**)
 
-(* internal: shared with Log_segments (segmented persistence) and the
-   replay layer's Checkpoint (CRC'd atomic frontier files) *)
+(* internal: shared with Manifest, Log_segments and Sharded_log (the
+   multi-file evidence sets) and the replay layer's Checkpoint (CRC'd
+   frontier files) *)
 
-val atomic_write : string -> string -> unit
+(** [read_file path] is the file's bytes. @raise Sys_error *)
+val read_file : string -> string
+
+(** [chunks k l] is [l] in consecutive runs of [k] (the last shorter). *)
+val chunks : int -> 'a list -> 'a list list
+
 val crc_hex : string -> string
-val enc_entry : Log.entry -> string
-val dec_entry : string -> Log.entry
 val split_crc_line : string -> (string * string) option
 val header_lines : Log.t -> string
-val numbered_lines : string -> (int * string) list
 
 type header = {
   mutable h_recorder : string;

@@ -1,59 +1,27 @@
 (* Segmented persistence. Layout for base path [p]:
 
-     p.header     "ddet-seg-header v1" + recorder line  (atomic, first)
-     p.NNNN.seg   "ddet-seg v1 N", CRC'd entry lines, "end N" trailer
-     p.manifest   "ddet-manifest v1", header lines, per-segment CRCs,
-                  "end <nsegs>"                         (atomic, last)
+     p.NNNN.seg   ddet-log v2 logs, [segment_entries] entries each; every
+                  one carries the full header           (in order)
+     p.manifest   CRC'd lines: header, one line per segment with its
+                  entry count and byte CRC, "end <nsegs>" (atomic, last)
 
-   Sealed segments are immutable and self-validating (line CRCs + entry
-   trailer); the manifest additionally records each segment's whole-file
-   CRC so post-seal bit rot is caught even when the lines still parse.
-   Only the tail segment is ever in a half-written state, which bounds
-   what a crash can lose. *)
+   The manifest is the only completeness claim: it is written after
+   every segment landed, and a load trusts it only when every line
+   verifies and every segment it names matches. Anything less takes the
+   prefix walk. *)
 
 let seg_path base i = Printf.sprintf "%s.%04d.seg" base i
 let manifest_path base = base ^ ".manifest"
-let header_path base = base ^ ".header"
-
-let seg_magic = "ddet-seg v1"
-let manifest_magic = "ddet-manifest v1"
-let header_magic = "ddet-seg-header v1"
+let magic = "ddet-manifest v2"
 
 let exists base =
-  Sys.file_exists (manifest_path base)
-  || Sys.file_exists (header_path base)
-  || Sys.file_exists (seg_path base 0)
+  Sys.file_exists (manifest_path base) || Sys.file_exists (seg_path base 0)
 
-(* ------------------------------------------------------------------ *)
-(* writer *)
-
-(* Every byte crosses the pluggable store, and a permanent store error
-   makes the writer sticky-failed: appends become no-ops, the failure is
-   readable via [writer_error], and close skips the manifest — a failed
-   recording must never gain the marker that asserts completeness.
-   Recovery then takes the scan path and reports the honest salvageable
-   prefix. *)
-type writer = {
-  base : string;
-  recorder : string;
-  segment_entries : int;
-  store : Store.t;
-  mutable seg : int;  (* index of the segment being written *)
-  mutable count : int;  (* entries in that segment *)
-  mutable open_seg : bool;  (* the segment file has been started *)
-  buf : Buffer.t;  (* exact bytes of the open segment, for its CRC *)
-  mutable sealed : (int * int * string) list;  (* rev (index, entries, crc) *)
-  mutable closed : bool;
-  mutable failed : Store.error option;  (* sticky permanent failure *)
-}
-
-let writer_error w = w.failed
-
-let fail w e = if w.failed = None then w.failed <- Some e
-
-let create ?store ?(segment_entries = 64) ~recorder base =
-  if segment_entries < 1 then invalid_arg "Log_segments.create: segment_entries";
-  let store = match store with Some s -> s | None -> Store.default () in
+let save_via store ?(segment_entries = 64) base (log : Log.t) =
+  if segment_entries < 1 then
+    invalid_arg "Log_segments.save_via: segment_entries";
+  (* a previous recording's manifest or segments under this base would
+     be taken for this one's: clear them first *)
   store.Store.remove (manifest_path base);
   let rec clean i =
     if store.Store.exists (seg_path base i) then begin
@@ -62,106 +30,31 @@ let create ?store ?(segment_entries = 64) ~recorder base =
     end
   in
   clean 0;
-  let w =
-    {
-      base;
-      recorder;
-      segment_entries;
-      store;
-      seg = 0;
-      count = 0;
-      open_seg = false;
-      buf = Buffer.create 4096;
-      sealed = [];
-      closed = false;
-      failed = None;
-    }
+  (* an empty log still gets segment 0: it carries the header *)
+  let parts =
+    match Log_io.chunks segment_entries log.Log.entries with [] -> [ [] ] | ps -> ps
   in
-  (* the header ships before any entry: a recovery that races a crash
-     still learns which recorder produced the segments *)
-  (match
-     Store.atomic_write store (header_path base)
-       (Printf.sprintf "%s\nrecorder \"%s\"\n" header_magic
-          (String.escaped recorder))
-   with
-  | Ok () -> ()
-  | Error e -> fail w e);
-  w
-
-let put w s =
-  match w.failed with
-  | Some _ -> ()
-  | None -> (
-    match w.store.Store.append (seg_path w.base w.seg) s with
-    | Ok () -> Buffer.add_string w.buf s
-    | Error e -> fail w e)
-
-let seal w =
-  if w.open_seg then begin
-    let path = seg_path w.base w.seg in
-    put w (Printf.sprintf "end %d\n" w.count);
-    (* seal (fsync + close) even after a failure, so the handle is
-       released; only a clean segment earns a manifest entry *)
-    (match w.store.Store.seal path with
-    | Ok () -> ()
-    | Error e -> fail w e);
-    if w.failed = None then
-      w.sealed <-
-        (w.seg, w.count, Log_io.crc_hex (Buffer.contents w.buf)) :: w.sealed;
-    w.open_seg <- false;
-    Buffer.clear w.buf;
-    w.seg <- w.seg + 1;
-    w.count <- 0
-  end
-
-let append w entry =
-  if w.closed then invalid_arg "Log_segments.append: writer is closed";
-  if w.failed = None then begin
-    if not w.open_seg then begin
-      w.open_seg <- true;
-      put w (Printf.sprintf "%s %d\n" seg_magic w.seg)
-    end;
-    let line = Log_io.enc_entry entry in
-    put w (Printf.sprintf "%s %s\n" (Log_io.crc_hex line) line);
-    if w.failed = None then begin
-      w.count <- w.count + 1;
-      if w.count >= w.segment_entries then seal w
-    end
-  end
-
-let close w ~base_steps ~failure ?faults () =
-  if not w.closed then begin
-    seal w;
-    w.closed <- true;
-    match w.failed with
-    | Some _ -> ()
-    | None -> (
-      let hdr_log =
-        Log.make ?faults ~recorder:w.recorder ~entries:[] ~base_steps ~failure
-          ()
-      in
-      let b = Buffer.create 1024 in
-      Buffer.add_string b (manifest_magic ^ "\n");
-      Buffer.add_string b (Log_io.header_lines hdr_log);
-      let sealed = List.rev w.sealed in
-      List.iter
-        (fun (i, n, crc) ->
-          Buffer.add_string b (Printf.sprintf "segment %04d %d %s\n" i n crc))
-        sealed;
-      Buffer.add_string b (Printf.sprintf "end %d\n" (List.length sealed));
-      match
-        Store.atomic_write w.store (manifest_path w.base) (Buffer.contents b)
-      with
-      | Ok () -> ()
-      | Error e -> fail w e)
-  end
-
-let save_via store ?segment_entries base (log : Log.t) =
-  let w = create ~store ?segment_entries ~recorder:log.Log.recorder base in
-  List.iter (append w) log.Log.entries;
-  close w ~base_steps:log.Log.base_steps ~failure:log.Log.failure
-    ?faults:log.Log.faults ();
-  match writer_error w with Some e -> Error e | None -> Ok ()
+  (* in order, stopping at the first failure: the loader walks segments
+     as a prefix, so nothing past a failed write would be read *)
+  let rec write i lines = function
+    | [] -> Ok (List.rev lines)
+    | entries :: rest -> (
+      let bytes = Log_io.to_string { log with Log.entries } in
+      match store.Store.write (seg_path base i) bytes with
+      | Ok () ->
+        let line =
+          Printf.sprintf "segment %04d %d %s" i (List.length entries)
+            (Log_io.crc_hex bytes)
+        in
+        write (i + 1) (line :: lines) rest
+      | Error e -> Error e)
+  in
+  match write 0 [] parts with
+  | Error e -> Error e
+  | Ok lines ->
+    Store.atomic_write store (manifest_path base)
+      (Manifest.to_string ~magic log
+         (lines @ [ Printf.sprintf "end %d" (List.length lines) ]))
 
 let save ?segment_entries base (log : Log.t) =
   match save_via (Store.default ()) ?segment_entries base log with
@@ -187,7 +80,7 @@ let pp_recovery ppf r =
       r.entries r.segments_found
   else
     Format.fprintf ppf
-      "recovered %d entries (%d complete segment(s)%s) from a crashed \
+      "recovered %d entries (%d complete segment(s)%s) from a damaged \
        recording of %d segment file(s)"
       r.entries r.segments_complete
       (if r.tail_entries > 0 then
@@ -195,193 +88,124 @@ let pp_recovery ppf r =
        else "")
       r.segments_found
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> In_channel.input_all ic)
-
-(* Parse one segment file: entries that validate, and whether the segment
-   is sealed (correct magic, every line CRC-clean, trailer agrees). A bad
-   line ends the valid prefix — later lines of a torn segment are not
-   trusted. *)
-let parse_segment ~index contents =
-  match Log_io.numbered_lines contents with
-  | [] -> ([], false)
-  | (_, magic) :: rest ->
-    if not (String.equal (String.trim magic) (Printf.sprintf "%s %d" seg_magic index))
-    then ([], false)
-    else begin
-      let entries = ref [] in
-      let sealed = ref false in
-      let bad = ref false in
-      List.iter
-        (fun (_, line) ->
-          if not (!bad || !sealed) then
-            match Log_io.split_crc_line line with
-            | Some (crc, body) when String.equal crc (Log_io.crc_hex body) -> (
-              match Log_io.dec_entry body with
-              | e -> entries := e :: !entries
-              | exception _ -> bad := true)
-            | Some _ -> bad := true
-            | None -> (
-              match String.split_on_char ' ' (String.trim line) with
-              | [ "end"; n ] when int_of_string_opt n = Some (List.length !entries)
-                ->
-                sealed := true
-              | _ -> bad := true))
-        rest;
-      (List.rev !entries, !sealed && not !bad)
-    end
-
-type manifest = {
-  m_header : Log_io.header;
-  m_segments : (int * int * string) list;  (* (index, entries, crc) *)
-}
-
-let parse_manifest contents =
-  match Log_io.numbered_lines contents with
-  | (_, magic) :: rest when String.equal (String.trim magic) manifest_magic ->
-    let hdr = Log_io.fresh_header () in
-    let segs = ref [] in
-    let trailer = ref None in
-    let ok = ref true in
-    List.iter
-      (fun (_, line) ->
-        if !ok then
-          match String.split_on_char ' ' (String.trim line) with
-          | [ "segment"; i; n; crc ] -> (
-            match (int_of_string_opt i, int_of_string_opt n) with
-            | Some i, Some n -> segs := (i, n, crc) :: !segs
-            | _ -> ok := false)
-          | [ "end"; n ] -> trailer := int_of_string_opt n
-          | _ -> (
-            match Log_io.parse_header_line hdr line with
-            | true -> ()
-            | false -> ok := false
-            | exception _ -> ok := false))
-      rest;
-    let segs = List.rev !segs in
-    if !ok && !trailer = Some (List.length segs) then
-      Some { m_header = hdr; m_segments = segs }
-    else None
-  | _ | (exception _) -> None
-
-let read_header base =
-  let path = header_path base in
-  if not (Sys.file_exists path) then None
-  else
-    match Log_io.numbered_lines (read_file path) with
-    | (_, magic) :: rest when String.equal (String.trim magic) header_magic ->
-      let hdr = Log_io.fresh_header () in
-      List.iter
-        (fun (_, line) ->
-          try ignore (Log_io.parse_header_line hdr line) with _ -> ())
-        rest;
-      Some hdr
-    | _ | (exception _) -> None
-
-(* Crash recovery: walk segment files in order; sealed segments are
-   recovered whole, the first unsealed (or missing) one contributes its
-   valid prefix and ends the walk — the writer is strictly sequential, so
-   nothing after a torn segment can be trusted to belong to this
-   recording. *)
-let scan_segments base =
-  let rec go i found complete acc tail =
-    let path = seg_path base i in
-    if not (Sys.file_exists path) then (found, complete, List.rev acc, tail)
-    else
-      let entries, sealed = parse_segment ~index:i (read_file path) in
-      if sealed then go (i + 1) (found + 1) (complete + 1) (List.rev_append entries acc) tail
-      else (found + 1, complete, List.rev (List.rev_append entries acc), List.length entries)
+(* The bytes before 1-based line [n]. *)
+let before_line s n =
+  let rec go pos k =
+    if k = 0 then pos else go (String.index_from s pos '\n' + 1) (k - 1)
   in
-  go 0 0 0 [] 0
+  String.sub s 0 (go 0 (n - 1))
+
+type segment = { bytes : string; log : Log.t option; sealed : bool }
+
+(* The prefix rule: a segment contributes the entries before its first
+   bad line, and is sealed only when nothing was bad and its trailer
+   agrees. Salvage skips a bad line and reads on, so a damaged segment
+   is read again cut just before the first line Salvage reported. *)
+let read_segment path =
+  let bytes = try Log_io.read_file path with Sys_error _ -> "" in
+  let salvage s =
+    Result.to_option (Log_io.of_string_report ~mode:Log_io.Salvage s)
+  in
+  match salvage bytes with
+  | None -> { bytes; log = None; sealed = false }
+  | Some (log, d) -> (
+    match d.Log_io.corrupt_lines with
+    | [] -> { bytes; log = Some log; sealed = not d.Log_io.truncated }
+    | (n, _, _) :: _ ->
+      let log = Option.map fst (salvage (before_line bytes n)) in
+      { bytes; log; sealed = false })
+
+(* Segments in order from 0: every sealed one whole, and the first
+   missing or unsealed one ends the walk — the save is sequential, so
+   nothing after a torn segment belongs to this recording. *)
+let walk base =
+  let rec go i acc =
+    let path = seg_path base i in
+    if not (Sys.file_exists path) then List.rev acc
+    else
+      let s = read_segment path in
+      if s.sealed then go (i + 1) (s :: acc) else List.rev (s :: acc)
+  in
+  go 0 []
+
+let entries_of s = match s.log with Some l -> l.Log.entries | None -> []
+
+(* The manifest's segment lines when it can be trusted: no corrupt line,
+   every payload understood, and a trailer counting the segment lines. *)
+let listed (m : Manifest.t) =
+  let rec go segs = function
+    | [ last ] -> (
+      match String.split_on_char ' ' last with
+      | [ "end"; n ] when int_of_string_opt n = Some (List.length segs) ->
+        Some (List.rev segs)
+      | _ -> None)
+    | line :: rest -> (
+      match String.split_on_char ' ' line with
+      | [ "segment"; i; n; crc ] -> (
+        match (int_of_string_opt i, int_of_string_opt n) with
+        | Some i, Some n when i = List.length segs -> go ((n, crc) :: segs) rest
+        | _ -> None)
+      | _ -> None)
+    | [] -> None
+  in
+  if m.Manifest.corrupt = 0 then go [] m.Manifest.payloads else None
+
+let of_header (h : Log_io.header) entries =
+  Log.make ?faults:h.Log_io.h_faults ~recorder:h.Log_io.h_recorder ~entries
+    ~base_steps:h.Log_io.h_base_steps ~failure:h.Log_io.h_failure ()
 
 let load base =
-  let manifest =
-    let path = manifest_path base in
-    if Sys.file_exists path then parse_manifest (read_file path) else None
+  let manifest = Manifest.load ~magic (manifest_path base) in
+  let segs = walk base in
+  let complete =
+    match Option.bind manifest listed with
+    | Some expected ->
+      List.length expected = List.length segs
+      && List.for_all2
+           (fun (n, crc) s ->
+             s.sealed
+             && List.length (entries_of s) = n
+             && String.equal crc (Log_io.crc_hex s.bytes))
+           expected segs
+    | None -> false
   in
-  let validated =
-    match manifest with
-    | None -> None
-    | Some m -> (
-      let all =
-        List.for_all
-          (fun (i, n, crc) ->
-            let path = seg_path base i in
-            Sys.file_exists path
-            &&
-            let contents = read_file path in
-            String.equal crc (Log_io.crc_hex contents)
-            &&
-            let entries, sealed = parse_segment ~index:i contents in
-            sealed && List.length entries = n)
-          m.m_segments
-      in
-      if not all then None
-      else
-        Some
-          ( m,
-            List.concat_map
-              (fun (i, _, _) -> fst (parse_segment ~index:i (read_file (seg_path base i))))
-              m.m_segments ))
-  in
-  match validated with
-  | Some (m, entries) ->
+  match (manifest, segs) with
+  | None, [] -> Error (Printf.sprintf "no segmented recording at %s" base)
+  | _ ->
+    let entries = List.concat_map entries_of segs in
+    (* the header: segment 0's as far as its prefix reaches (on a
+       complete load it matches the manifest's byte CRC), else the
+       manifest lines that verified *)
     let log =
-      Log.make ?faults:m.m_header.Log_io.h_faults
-        ~recorder:m.m_header.Log_io.h_recorder ~entries
-        ~base_steps:m.m_header.Log_io.h_base_steps
-        ~failure:m.m_header.Log_io.h_failure ()
+      match (segs, manifest) with
+      | { log = Some l; _ } :: _, _ -> { l with Log.entries }
+      | _, Some m -> of_header m.Manifest.header entries
+      | _, None -> of_header (Log_io.fresh_header ()) entries
+    in
+    (* a damaged load missing the failure takes it from a recovered
+       [faildesc] entry *)
+    let log =
+      if complete || log.Log.failure <> None then log
+      else
+        {
+          log with
+          Log.failure =
+            List.find_map
+              (function Log.Failure_desc f -> Some f | _ -> None)
+              entries;
+        }
+    in
+    let tail =
+      match List.rev segs with
+      | s :: _ when not s.sealed -> entries_of s
+      | _ -> []
     in
     Ok
       ( log,
         {
-          segments_found = List.length m.m_segments;
-          segments_complete = List.length m.m_segments;
+          segments_found = List.length segs;
+          segments_complete = List.length (List.filter (fun s -> s.sealed) segs);
           entries = List.length entries;
-          tail_entries = 0;
-          complete = true;
+          tail_entries = List.length tail;
+          complete;
         } )
-  | None ->
-    let found, complete, entries, tail_entries = scan_segments base in
-    let hdr = read_header base in
-    if found = 0 && hdr = None && manifest = None then
-      Error (Printf.sprintf "no segmented recording at %s" base)
-    else
-      (* degraded header: prefer the manifest's (if it parsed at all),
-         then the header file; the failure descriptor is recovered from
-         the entries when the recorder logged one before the crash *)
-      let recorder, base_steps, failure, faults =
-        match (manifest, hdr) with
-        | Some m, _ ->
-          ( m.m_header.Log_io.h_recorder,
-            m.m_header.Log_io.h_base_steps,
-            m.m_header.Log_io.h_failure,
-            m.m_header.Log_io.h_faults )
-        | None, Some h ->
-          (h.Log_io.h_recorder, h.Log_io.h_base_steps, h.Log_io.h_failure,
-           h.Log_io.h_faults)
-        | None, None -> ("unknown", 0, None, None)
-      in
-      let failure =
-        match failure with
-        | Some _ -> failure
-        | None ->
-          List.find_map
-            (function Log.Failure_desc f -> Some f | _ -> None)
-            entries
-      in
-      let log =
-        Log.make ?faults ~recorder ~entries ~base_steps ~failure ()
-      in
-      Ok
-        ( log,
-          {
-            segments_found = found;
-            segments_complete = complete;
-            entries = List.length entries;
-            tail_entries;
-            complete = false;
-          } )

@@ -1,74 +1,40 @@
-(** Segmented log persistence: crash-tolerant recording for long runs.
+(** Segmented log persistence: a finished recording saved as a sequence
+    of small, independently checkable parts.
 
-    {!Log_io.save} is atomic but monolithic — nothing hits the disk until
-    the recording is over, so a crash mid-record loses everything. The
-    segmented writer instead streams entries into fixed-size segment
-    files, sealing each one with the v2 CRC-per-line discipline and an
-    [end N] trailer as soon as it fills, and finishes by writing a
-    manifest (atomically) that names every segment with its byte CRC and
-    carries the log header. The file set for base path [p] is:
+    {!save_via} splits the log into [segment_entries]-sized parts and
+    writes each as an ordinary [ddet-log v2] log ({!Log_io}'s format,
+    full header included) with one store write, in order, stopping at
+    the first failure. Only then is the manifest written, atomically:
+    the log header, each segment's entry count and byte CRC, and an
+    [end N] trailer, every line CRC'd ({!Manifest}). The file set for
+    base path [p] is:
 
     {v
-    p.header          recorder name, written first (atomic)
-    p.0000.seg        sealed segments: magic, CRC'd entries, `end N`
+    p.0000.seg        ddet-log v2: header, CRC'd entries, `end N`
     p.0001.seg        ...
-    p.manifest        header + per-segment CRCs + `end N` (atomic, last)
+    p.manifest        CRC'd lines: header, `segment I N CRC` per
+                      segment, `end N` trailer (atomic, written last)
     v}
 
-    Recovery after a crash mid-record walks the segments in order: every
-    sealed segment is recovered whole (its trailer and line CRCs prove
-    completeness), and the unsealed tail segment contributes its valid
-    prefix — the same salvage guarantee {!Log_io} gives a truncated
-    monolithic log, but the loss is bounded by one segment instead of the
-    whole recording. *)
+    Recovery without a trustworthy manifest walks the segments in
+    order: every sealed segment (trailer agrees, no bad line) is
+    recovered whole, and the first missing or damaged one contributes
+    the entries before its first bad line and ends the walk. This
+    prefix rule is deliberately stricter than {!Log_io}'s Salvage, which
+    skips a bad line and reads on. *)
 
-(** Streaming writer. Not thread-safe; one recording each. *)
-type writer
-
-(** [create ?store ?segment_entries ~recorder base] starts a segmented
-    recording at [base] (default 64 entries per segment), writing through
-    [store] (default {!Store.default}). Stale artifacts of a previous
-    recording under [base] are removed, and [base.header] is written
-    immediately so recovery knows the recorder even if the crash comes
-    before the manifest. *)
-val create :
-  ?store:Store.t -> ?segment_entries:int -> recorder:string -> string -> writer
-
-(** [append w entry] writes one CRC'd entry line to the current segment
-    (flushed per entry), sealing the segment and opening the next when it
-    reaches [segment_entries].
-
-    A permanent store error makes the writer {e sticky-failed}: this and
-    every later append become no-ops, the error is readable via
-    {!writer_error}, and {!close} skips the manifest — so recovery takes
-    the crash path and reports the honest salvageable prefix instead of
-    trusting a recording that lost bytes. *)
-val append : writer -> Log.entry -> unit
-
-(** The sticky permanent failure, if storage failed mid-recording. *)
-val writer_error : writer -> Store.error option
-
-(** [close w ~base_steps ~failure ?faults ()] seals the tail segment and
-    atomically writes the manifest — unless the writer failed, in which
-    case the manifest is deliberately withheld (it asserts completeness).
-    After a clean close, {!load} reconstructs the full log exactly. *)
-val close :
-  writer ->
-  base_steps:int ->
-  failure:Mvm.Failure.t option ->
-  ?faults:Mvm.Fault.plan ->
-  unit ->
-  unit
-
-(** [save ?segment_entries base log] is the one-shot convenience:
-    create, append every entry, close.
+(** [save ?segment_entries base log] saves through {!Store.default}
+    (default 64 entries per segment).
     @raise Sys_error on a permanent storage failure. *)
 val save : ?segment_entries:int -> string -> Log.t -> unit
 
 (** [save_via store ?segment_entries base log] is {!save} through a
-    pluggable store, with the permanent failure as a typed error. Even on
-    [Error] the sealed segments and tail prefix persisted before the
-    fault remain on disk for {!load} to salvage. *)
+    pluggable store, with the failure as a typed error. Stale segments
+    and the manifest of an earlier recording under [base] are removed
+    first. The segments written before a failure stay on disk for
+    {!load} to recover, and the manifest is only written after every
+    segment landed, so a failed save is never read back as complete.
+    @raise Invalid_argument if [segment_entries < 1]. *)
 val save_via :
   Store.t ->
   ?segment_entries:int ->
@@ -76,31 +42,31 @@ val save_via :
   Log.t ->
   (unit, Store.error) result
 
-(** What recovery found. [complete] means the manifest was present,
-    intact, and every listed segment validated — the load is the whole
-    recording. Otherwise the load is the crash-recovered prefix:
-    [segments_complete] sealed segments plus [tail_entries] salvaged from
-    the unsealed tail. *)
+(** What recovery found. [complete] means the manifest verified line by
+    line, its trailer agrees, and every segment it lists is on disk,
+    sealed, and matches its entry count and byte CRC — the load is the
+    whole recording. Otherwise the load is the walked prefix:
+    [segments_complete] sealed segments plus [tail_entries] from the
+    first damaged one. *)
 type recovery = {
   segments_found : int;
   segments_complete : int;
   entries : int;  (** total entries recovered *)
-  tail_entries : int;  (** salvaged from an unsealed/damaged tail segment *)
+  tail_entries : int;  (** salvaged from a damaged tail segment *)
   complete : bool;
 }
 
 val is_damaged : recovery -> bool
 val pp_recovery : Format.formatter -> recovery -> unit
 
-(** [load base] reconstructs a log from the segment file set. With an
-    intact manifest this is exact (header included); after a crash it
-    recovers all complete segments plus the valid prefix of the tail,
-    taking the recorder from [base.header] and the failure from a
-    recovered [faildesc] entry when one made it to disk. [Error] only
-    when nothing of the recording exists. *)
+(** [load base] reconstructs a log from the segment file set. With a
+    trusted manifest this is exact (header included); otherwise it
+    returns the walked prefix, with segment 0's header and the failure
+    from a recovered [faildesc] entry when the header lacks one.
+    [Error] only when neither a manifest nor segment 0 exists. *)
 val load : string -> (Log.t * recovery, string) result
 
-(** [exists base] — some artifact of a segmented recording (manifest,
-    header or first segment) is present; how the CLI distinguishes a
-    segmented base path from a monolithic log file. *)
+(** [exists base] — the manifest or the first segment is present; how
+    the CLI distinguishes a segmented base path from a monolithic log
+    file. *)
 val exists : string -> bool

@@ -124,39 +124,7 @@ let order_runs causal (log : Log.t) =
 let runs_to_string runs =
   String.concat "," (List.map (fun (ix, n) -> Printf.sprintf "%d:%d" ix n) runs)
 
-let rec chunks k = function
-  | [] -> []
-  | l ->
-    let rec take n acc = function
-      | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let head, rest = take k [] l in
-    head :: chunks k rest
-
 let manifest_string ~causal (log : Log.t) shards =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  let line s =
-    Buffer.add_string b (Log_io.crc_hex s);
-    Buffer.add_char b ' ';
-    Buffer.add_string b s;
-    Buffer.add_char b '\n'
-  in
-  String.split_on_char '\n' (Log_io.header_lines log)
-  |> List.iter (fun l -> if l <> "" then line l);
-  List.iteri
-    (fun ix (node, slog) ->
-      line
-        (Printf.sprintf "node %d %s %d %s" ix node
-           (List.length slog.Log.entries)
-           (Log_io.crc_hex (Log_io.to_string slog))))
-    shards;
-  let runs = order_runs causal log in
-  List.iter
-    (fun chunk -> line ("order " ^ runs_to_string chunk))
-    (chunks 16 runs);
   let ix_of n =
     let rec go i = function
       | [] -> -1
@@ -164,18 +132,27 @@ let manifest_string ~causal (log : Log.t) shards =
     in
     go 0 shards
   in
-  List.iter
-    (fun (e : Causal.edge) ->
-      line
-        (Printf.sprintf "edge %S %d %d %d %d" e.Causal.chan
-           (ix_of e.Causal.send_node) e.Causal.send_seq (ix_of e.Causal.recv_node)
-           e.Causal.recv_seq))
-    causal.Causal.edges;
-  line
-    (Printf.sprintf "end %d %d %d" (List.length shards)
-       (List.length log.Log.entries)
-       (List.length causal.Causal.edges));
-  Buffer.contents b
+  Manifest.to_string ~magic log
+    (List.mapi
+       (fun ix (node, slog) ->
+         Printf.sprintf "node %d %s %d %s" ix node
+           (List.length slog.Log.entries)
+           (Log_io.crc_hex (Log_io.to_string slog)))
+       shards
+    @ List.map
+        (fun chunk -> "order " ^ runs_to_string chunk)
+        (Log_io.chunks 16 (order_runs causal log))
+    @ List.map
+        (fun (e : Causal.edge) ->
+          Printf.sprintf "edge %S %d %d %d %d" e.Causal.chan
+            (ix_of e.Causal.send_node) e.Causal.send_seq
+            (ix_of e.Causal.recv_node) e.Causal.recv_seq)
+        causal.Causal.edges
+    @ [
+        Printf.sprintf "end %d %d %d" (List.length shards)
+          (List.length log.Log.entries)
+          (List.length causal.Causal.edges);
+      ])
 
 (* recovered manifest fields; everything optional because every line is
    independently CRC'd and any suffix may be gone *)
@@ -188,66 +165,50 @@ type manifest = {
   m_corrupt : int;
 }
 
-let parse_manifest content =
-  match String.split_on_char '\n' content with
-  | m :: rest when String.equal m magic ->
-    let hdr = Log_io.fresh_header () in
-    let nodes = ref [] and order = ref [] and edges = ref [] in
-    let trailer = ref None and corrupt = ref 0 in
-    let parse_payload text =
-      let consumed =
-        try Log_io.parse_header_line hdr text with _ -> false
-      in
-      if consumed then true
-      else
+(* the payloads the codec verified; a verified line that is none of
+   these counts as corrupt too *)
+let parse_manifest (m : Manifest.t) =
+  let nodes = ref [] and order = ref [] and edges = ref [] in
+  let trailer = ref None and corrupt = ref m.Manifest.corrupt in
+  let parse_payload text =
+    try
+      Scanf.sscanf text "node %d %s %d %s" (fun ix name entries crc ->
+          nodes := (ix, (name, entries, crc)) :: !nodes);
+      true
+    with _ -> (
+      try
+        Scanf.sscanf text "edge %S %d %d %d %d"
+          (fun chan six sseq rix rseq ->
+            edges := (chan, six, sseq, rix, rseq) :: !edges);
+        true
+      with _ -> (
         try
-          Scanf.sscanf text "node %d %s %d %s"
-            (fun ix name entries crc ->
-              nodes := (ix, (name, entries, crc)) :: !nodes);
+          Scanf.sscanf text "end %d %d %d" (fun a b c ->
+              trailer := Some (a, b, c));
           true
-        with _ -> (
-          try
-            Scanf.sscanf text "edge %S %d %d %d %d"
-              (fun chan six sseq rix rseq ->
-                edges := (chan, six, sseq, rix, rseq) :: !edges);
-            true
-          with _ -> (
+        with _ ->
+          if String.length text > 6 && String.sub text 0 6 = "order " then (
             try
-              Scanf.sscanf text "end %d %d %d" (fun a b c ->
-                  trailer := Some (a, b, c));
+              String.sub text 6 (String.length text - 6)
+              |> String.split_on_char ','
+              |> List.iter (fun run ->
+                     Scanf.sscanf run "%d:%d" (fun ix n ->
+                         order := (ix, n) :: !order));
               true
-            with _ ->
-              if String.length text > 6 && String.sub text 0 6 = "order " then (
-                try
-                  String.sub text 6 (String.length text - 6)
-                  |> String.split_on_char ','
-                  |> List.iter (fun run ->
-                         Scanf.sscanf run "%d:%d" (fun ix n ->
-                             order := (ix, n) :: !order));
-                  true
-                with _ -> false)
-              else false))
-    in
-    List.iter
-      (fun l ->
-        if l <> "" then
-          match Log_io.split_crc_line l with
-          | Some (crc, text)
-            when String.equal crc (Log_io.crc_hex text) && parse_payload text
-            ->
-            ()
-          | Some _ | None -> incr corrupt)
-      rest;
-    Ok
-      {
-        m_header = hdr;
-        m_nodes = List.sort compare (List.rev !nodes);
-        m_order = List.rev !order;
-        m_edges = List.rev !edges;
-        m_trailer = !trailer;
-        m_corrupt = !corrupt;
-      }
-  | _ -> Error "not a ddet-causal manifest"
+            with _ -> false)
+          else false))
+  in
+  List.iter
+    (fun text -> if not (parse_payload text) then incr corrupt)
+    m.Manifest.payloads;
+  {
+    m_header = m.Manifest.header;
+    m_nodes = List.sort compare (List.rev !nodes);
+    m_order = List.rev !order;
+    m_edges = List.rev !edges;
+    m_trailer = !trailer;
+    m_corrupt = !corrupt;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* saving *)
@@ -311,17 +272,11 @@ let save_via ?(priority = []) store ~base ~(causal : Causal.t) (log : Log.t) =
 (* ------------------------------------------------------------------ *)
 (* loading *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_shard ~lose ~expected node path =
   if List.mem node lose || not (Sys.file_exists path) then
     { node; status = Missing; log = None }
   else
-    let content = try read_file path with Sys_error e -> e in
+    let content = try Log_io.read_file path with Sys_error e -> e in
     match Log_io.of_string_report ~mode:Log_io.Salvage content with
     | Error e -> { node; status = Corrupt e; log = None }
     | Ok (log, damage) ->
@@ -344,14 +299,7 @@ let load ?(lose = []) base =
     Error "no sharded recording at that base path (no .causal, no .shard)"
   else
     let manifest =
-      if Sys.file_exists (manifest_path base) then
-        match
-          try parse_manifest (read_file (manifest_path base))
-          with Sys_error e -> Error e
-        with
-        | Ok m -> Some m
-        | Error _ -> None
-      else None
+      Option.map parse_manifest (Manifest.load ~magic (manifest_path base))
     in
     let node_names, expected =
       match manifest with

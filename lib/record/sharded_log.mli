@@ -30,9 +30,9 @@
     information died with a lost node) and the run-length encoded global
     interleaving (used by the stitcher to reconstruct the exact recorded
     entry order when all shards survive, and its surviving projection
-    when they don't). Every manifest line is individually CRC'd, so a
-    truncated or bit-rotted manifest degrades to a valid prefix — never
-    to a fabricated edge. *)
+    when they don't). Every manifest line is individually CRC'd
+    ({!Manifest}), so a truncated or bit-rotted manifest degrades to a
+    valid prefix — never to a fabricated edge. *)
 
 type shard_status =
   | Intact  (** parsed clean and matches the manifest's byte CRC *)

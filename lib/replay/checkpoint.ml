@@ -70,9 +70,14 @@ let payload_into b t =
 
 let to_payload t = payload_into (Buffer.create 256) t
 
+(* through the shared store: temp write, fsync, rename *)
 let write_payload path payload =
-  Log_io.atomic_write path
-    (payload ^ Printf.sprintf "end %s\n" (Log_io.crc_hex payload))
+  match
+    Store.atomic_write (Store.default ()) path
+      (payload ^ Printf.sprintf "end %s\n" (Log_io.crc_hex payload))
+  with
+  | Ok () -> ()
+  | Error e -> raise (Sys_error (Store.error_to_string e))
 
 let write path t = write_payload path (to_payload t)
 
@@ -92,14 +97,7 @@ let parse_ints tokens =
 let load path =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let* contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (In_channel.input_all ic))
-    with Sys_error e -> Error e
-  in
+  let* contents = try Ok (Log_io.read_file path) with Sys_error e -> Error e in
   let lines =
     match String.split_on_char '\n' contents with
     | ls -> List.filter (fun l -> String.trim l <> "") ls

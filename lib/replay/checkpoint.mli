@@ -13,9 +13,10 @@
     Format [ddet-ckpt v1] is line-oriented text like the log formats: one
     key per line, closeness serialised as a hex float ([%h]) for exact
     round-trips, closed by an [end <crc>] trailer whose CRC32 covers the
-    whole payload. Files are written atomically (temp file + rename), so a
-    crash during a checkpoint write leaves the previous checkpoint intact
-    — the resume point is always a real frontier, never a torn one. *)
+    whole payload. Files are written through {!Ddet_record.Store.default}
+    atomically (temp file, fsync, rename), so a crash during a checkpoint
+    write leaves the previous checkpoint intact — the resume point is
+    always a real frontier, never a torn one. *)
 
 (** Identity of the best partial execution seen so far. The heavyweight
     {!Mvm.Interp.result} is deliberately not serialised; instead the
@@ -42,7 +43,8 @@ type t = {
   seen : int list;  (** pruned-state digests to replant (DFS engine) *)
 }
 
-(** [write path t] serialises atomically with a CRC trailer. *)
+(** [write path t] serialises atomically with a CRC trailer.
+    @raise Sys_error on a storage failure. *)
 val write : string -> t -> unit
 
 (** [load path] parses and validates a checkpoint file. Damage (bad magic,

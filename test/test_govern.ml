@@ -31,7 +31,7 @@ let seg_cleanup base =
     (fun suffix ->
       let p = base ^ suffix in
       if Stdlib.Sys.file_exists p then Stdlib.Sys.remove p)
-    ([ ".header"; ".manifest"; "" ]
+    ([ ".manifest"; "" ]
     @ List.init 128 (Printf.sprintf ".%04d.seg"))
 
 let rec is_prefix a b =
@@ -197,7 +197,7 @@ let storage_fault_law =
             && Log_segments.is_damaged r
           | Error _ ->
             (* nothing persisted at all: legal only when the very first
-               write (the header) failed *)
+               write (segment 0) failed *)
             not (Log_segments.exists base))
       in
       seg_cleanup base;

@@ -218,6 +218,134 @@ let prop_salvage_single_line_corruption =
       | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* loaders on hostile bytes *)
+
+(* What a loader may meet on disk: arbitrary bytes, and near-misses — a
+   magic line (mostly the file's own [magic]) over lines shaped like each
+   grammar's (a keyword with numbers, names or values in its slots, or
+   with random tokens), some carrying a valid line CRC or a valid
+   checkpoint trailer, so the parsers behind each checksum gate run on
+   garbage too. *)
+let evidence_bytes_gen =
+  QCheck2.Gen.(
+    let num = map string_of_int (int_range (-2) 20) in
+    let token =
+      oneof
+        [
+          string_small;
+          num;
+          oneofl
+            [ "\""; "\"x\""; "i:1"; "s:\"a"; "u"; "crash"; "none"; "0000";
+              "0:1,1:2"; "0x1p-1"; "seed"; "n0"; "00000000" ];
+        ]
+    in
+    let slots k gens =
+      map (fun ts -> String.concat " " (k :: ts)) (flatten_l gens)
+    in
+    let run = map2 (fun a b -> a ^ ":" ^ b) num num in
+    let payload =
+      oneof
+        [
+          map2
+            (fun k ts -> String.concat " " (k :: ts))
+            (oneofl
+               [ "recorder"; "base-steps"; "failure"; "faults"; "end";
+                 "segment"; "node"; "edge"; "order"; "sched"; "input";
+                 "readval"; "output"; "sync"; "faildesc"; "mark"; "govern";
+                 "engine"; "base-seed"; "attempt"; "steps"; "pruned";
+                 "prefix"; "best"; "seen" ])
+            (list_size (int_bound 5) token);
+          slots "node" [ num; oneofl [ "n0"; "n1"; "../x" ]; num; token ];
+          slots "edge"
+            [ oneofl [ "\"c\""; "\"\""; "\"" ]; num; num; num; num ];
+          slots "segment"
+            [ oneof [ num; token ]; oneof [ num; token ]; token ];
+          slots "end" [ num ];
+          slots "end" [ num; num; num ];
+          slots "order"
+            [ map (String.concat ",") (list_size (int_bound 4) run) ];
+          slots "best"
+            [ oneofl [ "0x1p-1"; "nan"; "x" ]; num;
+              oneofl [ "seed"; "prefix 1 2"; "prefix x" ] ];
+          slots "prefix" [ num; num ];
+          (let* k =
+             oneofl
+               [ "recorder"; "base-steps"; "engine"; "base-seed"; "attempt";
+                 "steps"; "pruned"; "seen"; "flight"; "mark" ]
+           in
+           slots k [ oneof [ num; token ] ]);
+        ]
+    in
+    let crced = map (fun p -> Log_io.crc_hex p ^ " " ^ p) payload in
+    let line = oneof [ payload; crced; string_small ] in
+    fun magic ->
+      let file lines =
+        map2
+          (fun m ls -> String.concat "\n" (m :: ls) ^ "\n")
+          (frequency
+             [
+               (3, pure magic);
+               ( 1,
+                 oneofl
+                   [ "ddet-log v2"; "ddet-log v1"; "ddet-manifest v2";
+                     "ddet-causal v1"; "ddet-ckpt v1" ] );
+             ])
+          (list_size (int_bound 12) lines)
+      in
+      let sealed_ckpt =
+        map
+          (fun ls ->
+            let payload = String.concat "\n" (magic :: ls) ^ "\n" in
+            payload ^ "end " ^ Log_io.crc_hex payload ^ "\n")
+          (list_size (int_bound 8) payload)
+      in
+      oneof [ string; file line; file crced; sealed_ckpt ])
+
+(* Every loader answers Ok or Error on any bytes — it never raises: the
+   monolithic parser in both modes, a segment set (two segments and a
+   manifest), a sharded set (a shard and a causal manifest, whole and
+   with the node lost) and a checkpoint. *)
+let prop_loaders_total =
+  QCheck2.Test.make ~name:"every loader is total on arbitrary bytes"
+    ~count:1000
+    ~print:(fun fs -> String.concat "\n----\n" (List.map String.escaped fs))
+    (QCheck2.Gen.flatten_l
+       (List.map evidence_bytes_gen
+          [ "ddet-log v2"; "ddet-log v2"; "ddet-manifest v2"; "ddet-log v2";
+            "ddet-causal v1"; "ddet-ckpt v1" ]))
+    (fun files ->
+      let base = Filename.temp_file "ddet_total" "" in
+      Sys.remove base;
+      let paths =
+        List.map (( ^ ) base)
+          [ ".0000.seg"; ".0001.seg"; ".manifest"; ".n0.shard"; ".causal";
+            ".ckpt" ]
+      in
+      List.iter2
+        (fun path bytes ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes))
+        paths files;
+      let total f =
+        match f () with Ok _ | Error _ -> true | exception _ -> false
+      in
+      let ok =
+        List.for_all
+          (fun bytes ->
+            List.for_all
+              (fun mode ->
+                total (fun () -> Log_io.of_string_report ~mode bytes))
+              [ Log_io.Strict; Log_io.Salvage ])
+          files
+        && total (fun () -> Log_segments.load base)
+        && total (fun () -> Sharded_log.load base)
+        && total (fun () -> Sharded_log.load ~lose:[ "n0" ] base)
+        && total (fun () -> Checkpoint.load (base ^ ".ckpt"))
+      in
+      List.iter Sys.remove paths;
+      ok)
+
+(* ------------------------------------------------------------------ *)
 (* node-fault lowering *)
 
 (* Node-granular faults are sugar, not new nondeterminism: lowering a
@@ -629,6 +757,7 @@ let () =
             prop_log_io_arbitrary_payloads;
             prop_salvage_single_line_corruption;
           ] );
+      ("loaders", List.map to_alcotest [ prop_loaders_total ]);
       ("node-faults", List.map to_alcotest [ prop_node_faults_are_sugar ]);
       ( "cost-model",
         List.map to_alcotest

@@ -489,7 +489,16 @@ let seg_cleanup base =
     (fun suffix ->
       let p = base ^ suffix in
       if Stdlib.Sys.file_exists p then Stdlib.Sys.remove p)
-    ([ ".header"; ".manifest" ] @ List.init 64 (Printf.sprintf ".%04d.seg"))
+    (".manifest" :: List.init 64 (Printf.sprintf ".%04d.seg"))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
 
 let test_segments_roundtrip () =
   let _, log = record_with (Full_recorder.create ()) in
@@ -508,36 +517,47 @@ let test_segments_roundtrip () =
   seg_cleanup base
 
 let test_segments_crash_mid_record () =
-  (* the writer dies before [close]: no manifest, unsealed tail — every
-     entry that was appended (each is flushed) must still be recovered *)
+  (* the store tears segment j's write (op j: segments are written one
+     store write each, in order): the save fails, no manifest is
+     written, and every segment sealed before the tear must still be
+     recovered, with the recorder read from segment 0 *)
   let _, log = record_with (Full_recorder.create ()) in
   let entries = log.Log.entries in
   let n = List.length entries in
   Alcotest.(check bool) "workload records enough entries" true (n >= 10);
-  let base = seg_base () in
-  let w = Log_segments.create ~segment_entries:4 ~recorder:log.Log.recorder base in
-  let k = n - 2 in
-  List.iteri (fun i e -> if i < k then Log_segments.append w e) entries;
-  (match Log_segments.load base with
-  | Ok (log', r) ->
-    Alcotest.(check bool) "damaged" true (Log_segments.is_damaged r);
-    Alcotest.(check bool) "incomplete" false r.Log_segments.complete;
-    Alcotest.(check int) "every flushed entry recovered" k r.Log_segments.entries;
-    Alcotest.(check int) "sealed segments recovered whole" (k / 4)
-      r.Log_segments.segments_complete;
-    Alcotest.(check bool) "a prefix of the recording" true
-      (is_prefix log'.Log.entries entries);
-    Alcotest.(check int) "log carries the recovered entries" k
-      (List.length log'.Log.entries);
-    Alcotest.(check string) "recorder from the header file" log.Log.recorder
-      log'.Log.recorder
-  | Error e -> Alcotest.fail e);
-  seg_cleanup base
+  for j = 0 to ((n + 3) / 4) - 1 do
+    let base = seg_base () in
+    let plan = Faulty_store.make [ Faulty_store.Torn { at_op = j; keep = 0.5 } ] in
+    let store, _ = Faulty_store.wrap plan (Store.local ()) in
+    (match Log_segments.save_via store ~segment_entries:4 base log with
+    | Ok () -> Alcotest.fail (Printf.sprintf "segment %d: torn save succeeded" j)
+    | Error e ->
+      Alcotest.(check bool) "typed permanent error" false e.Store.transient);
+    Alcotest.(check bool) "no manifest after a failed save" false
+      (Stdlib.Sys.file_exists (base ^ ".manifest"));
+    (match Log_segments.load base with
+    | Ok (log', r) ->
+      let what = Printf.sprintf " (segment %d torn)" j in
+      Alcotest.(check bool) ("damaged" ^ what) true (Log_segments.is_damaged r);
+      Alcotest.(check bool) ("incomplete" ^ what) false r.Log_segments.complete;
+      Alcotest.(check int) ("sealed segments recovered whole" ^ what) j
+        r.Log_segments.segments_complete;
+      Alcotest.(check bool) ("a prefix of the recording" ^ what) true
+        (is_prefix log'.Log.entries entries);
+      Alcotest.(check bool) ("every sealed entry recovered" ^ what) true
+        (List.length log'.Log.entries >= 4 * j);
+      Alcotest.(check int) ("report counts the log's entries" ^ what)
+        (List.length log'.Log.entries) r.Log_segments.entries;
+      Alcotest.(check string) ("recorder from segment 0" ^ what)
+        log.Log.recorder log'.Log.recorder
+    | Error e -> Alcotest.fail e);
+    seg_cleanup base
+  done
 
 let test_segments_missing_manifest () =
-  (* crash in the gap between sealing the tail and writing the manifest:
+  (* crash in the gap between the last segment write and the manifest:
      all segments are sealed, so recovery loses nothing but must still
-     report the load as damaged (the header metadata is degraded) *)
+     report the load as damaged *)
   let _, log = record_with (Full_recorder.create ()) in
   let base = seg_base () in
   Log_segments.save ~segment_entries:8 base log;
@@ -553,29 +573,118 @@ let test_segments_missing_manifest () =
   | Error e -> Alcotest.fail e);
   seg_cleanup base
 
+(* the start offset of the [k]-th CRC'd entry line of a v2 log *)
+let entry_line_offset s k =
+  let lines = String.split_on_char '\n' s in
+  let is_entry l =
+    String.length l > 9
+    && l.[8] = ' '
+    && String.for_all
+         (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+         (String.sub l 0 8)
+  in
+  let rec go off k = function
+    | l :: rest ->
+      if is_entry l && k = 0 then off
+      else go (off + String.length l + 1) (if is_entry l then k - 1 else k) rest
+    | [] -> Alcotest.fail "segment has too few entry lines"
+  in
+  go 0 k lines
+
 let test_segments_corrupt_segment_detected () =
   (* bit rot inside a sealed segment: the manifest's whole-file CRC must
-     catch it and recovery must stop at the damaged segment rather than
-     trust anything after it *)
+     catch it and recovery must stop at the damaged line rather than
+     trust anything after it — whichever entry line of segment 0 rots,
+     exactly the entries before it come back *)
+  let _, log = record_with (Full_recorder.create ()) in
+  List.iter
+    (fun k ->
+      let base = seg_base () in
+      Log_segments.save ~segment_entries:4 base log;
+      let seg0 = base ^ ".0000.seg" in
+      let s = read_file seg0 in
+      let b = Bytes.of_string s in
+      let flip_at = entry_line_offset s k in
+      Bytes.set b flip_at (if Bytes.get b flip_at = 'f' then '0' else 'f');
+      write_file seg0 (Bytes.to_string b);
+      (match Log_segments.load base with
+      | Ok (log', r) ->
+        let what = Printf.sprintf " (entry line %d flipped)" k in
+        Alcotest.(check bool) ("damaged" ^ what) true (Log_segments.is_damaged r);
+        Alcotest.(check int) ("nothing past the damaged segment is trusted" ^ what)
+          0 r.Log_segments.segments_complete;
+        Alcotest.(check bool) ("fewer entries than the recording" ^ what) true
+          (List.length log'.Log.entries < List.length log.Log.entries);
+        Alcotest.(check bool) ("still a valid prefix" ^ what) true
+          (is_prefix log'.Log.entries log.Log.entries);
+        Alcotest.(check bool) ("exactly the entries before the flip" ^ what) true
+          (log'.Log.entries = take k log.Log.entries)
+      | Error e -> Alcotest.fail e);
+      seg_cleanup base)
+    [ 0; 2 ]
+
+let test_segments_manifest_bit_rot () =
+  (* one flipped digit in the manifest's base-steps line still parses as
+     a number: only the line's own CRC can tell, and a load must then
+     not claim the set is complete — while losing no sealed entry and
+     taking the header from segment 0 instead *)
   let _, log = record_with (Full_recorder.create ()) in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
-  let seg0 = base ^ ".0000.seg" in
-  let s = In_channel.with_open_bin seg0 In_channel.input_all in
-  let b = Bytes.of_string s in
-  let flip_at = String.index s '\n' + 1 in
-  Bytes.set b flip_at (if Bytes.get b flip_at = 'f' then '0' else 'f');
-  Out_channel.with_open_bin seg0 (fun oc -> Out_channel.output_bytes oc b);
+  let manifest = read_file (base ^ ".manifest") in
+  let key = "base-steps " in
+  let rec find i =
+    if String.sub manifest i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let at = find 0 in
+  let b = Bytes.of_string manifest in
+  Bytes.set b at (if Bytes.get b at = '9' then '1' else Char.chr (Char.code (Bytes.get b at) + 1));
+  write_file (base ^ ".manifest") (Bytes.to_string b);
   (match Log_segments.load base with
   | Ok (log', r) ->
+    Alcotest.(check bool) "not complete" false r.Log_segments.complete;
     Alcotest.(check bool) "damaged" true (Log_segments.is_damaged r);
-    Alcotest.(check int) "nothing past the damaged segment is trusted" 0
-      r.Log_segments.segments_complete;
-    Alcotest.(check bool) "fewer entries than the recording" true
-      (List.length log'.Log.entries < List.length log.Log.entries);
-    Alcotest.(check bool) "still a valid prefix" true
-      (is_prefix log'.Log.entries log.Log.entries)
+    Alcotest.(check bool) "all sealed entries recovered" true
+      (log'.Log.entries = log.Log.entries);
+    Alcotest.(check int) "base steps as recorded" log.Log.base_steps
+      log'.Log.base_steps
   | Error e -> Alcotest.fail e);
+  seg_cleanup base
+
+let test_segments_io_shape () =
+  (* a save of k segments is k segment writes and one atomic manifest
+     write (temp write + rename) — no per-entry appends, no extra syncs *)
+  let _, log = record_with (Full_recorder.create ()) in
+  let base = seg_base () in
+  let s = Store.local () in
+  let calls = ref [] in
+  let note op p = calls := (op, p) :: !calls in
+  let store =
+    {
+      s with
+      Store.append = (fun p b -> note "append" p; s.Store.append p b);
+      fsync = (fun p -> note "fsync" p; s.Store.fsync p);
+      seal = (fun p -> note "seal" p; s.Store.seal p);
+      write = (fun p b -> note "write" p; s.Store.write p b);
+      rename = (fun a b -> note "rename" b; s.Store.rename a b);
+    }
+  in
+  (match Log_segments.save_via store ~segment_entries:4 base log with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Store.error_to_string e));
+  let k = (List.length log.Log.entries + 3) / 4 in
+  let count op pred =
+    List.length (List.filter (fun (o, p) -> o = op && pred p) !calls)
+  in
+  Alcotest.(check int) "one write per segment" k
+    (count "write" (fun p -> Stdlib.Filename.check_suffix p ".seg"));
+  Alcotest.(check int) "one manifest temp write" 1
+    (count "write" (String.equal (base ^ ".manifest.tmp")));
+  Alcotest.(check int) "one rename, onto the manifest" 1
+    (count "rename" (String.equal (base ^ ".manifest")));
+  Alcotest.(check int) "no other store call" (k + 2) (List.length !calls);
+  Alcotest.(check int) "no appends" 0 (count "append" (fun _ -> true));
   seg_cleanup base
 
 let test_segments_nothing_there () =
@@ -585,14 +694,10 @@ let test_segments_nothing_there () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "load invented a recording from nothing"
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-(* every-byte truncation of the manifest: the [end N] trailer must catch
-   any cut, recovery must fall back to the sealed-segment scan and lose
-   nothing — but any cut that degrades the manifest must be flagged *)
+(* every-byte truncation of the manifest: the CRC'd [end N] trailer must
+   catch any cut, recovery must fall back to the sealed-segment walk and
+   lose nothing — but any cut that degrades the manifest must be
+   flagged *)
 let test_segments_manifest_every_truncation () =
   let _, log = record_with (Full_recorder.create ()) in
   let base = seg_base () in
@@ -615,68 +720,45 @@ let test_segments_manifest_every_truncation () =
   done;
   seg_cleanup base
 
-(* every-byte truncation of the header with no manifest (the worst crash
-   window): the sealed segments alone must still yield every entry, with
-   the load flagged as damaged; a torn header degrades metadata only *)
-let test_segments_header_every_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
-  let base = seg_base () in
-  Log_segments.save ~segment_entries:4 base log;
-  Stdlib.Sys.remove (base ^ ".manifest");
-  let header = read_file (base ^ ".header") in
-  for n = 0 to String.length header do
-    write_file (base ^ ".header") (String.sub header 0 n);
-    match Log_segments.load base with
-    | Ok (log', r) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "all sealed entries recovered at byte %d" n)
-        true
-        (log'.Log.entries = log.Log.entries);
-      Alcotest.(check bool)
-        (Printf.sprintf "manifest-less load flagged at byte %d" n)
-        true
-        (Log_segments.is_damaged r)
-    | Error e -> Alcotest.fail (Printf.sprintf "byte %d: %s" n e)
-  done;
-  seg_cleanup base
-
-(* every-byte truncation of a MIDDLE segment with no manifest: the torn
-   segment is unsealed, so recovery must stop there — its valid entry
-   prefix at most, and never an entry from the sealed segments after it
-   (the writer is sequential; nothing past a tear can be trusted) *)
+(* every-byte truncation of segment 0 (header and entries) and of a
+   MIDDLE segment, with no manifest: the torn segment is unsealed, so
+   recovery must stop there — every sealed segment before it, its valid
+   entry prefix at most, and never an entry from the sealed segments
+   after it (the save is sequential; nothing past a tear can be
+   trusted) *)
 let test_segments_unsealed_every_truncation () =
   let _, log = record_with (Full_recorder.create ()) in
-  let base = seg_base () in
-  Log_segments.save ~segment_entries:4 base log;
-  Stdlib.Sys.remove (base ^ ".manifest");
-  let torn = base ^ ".0001.seg" in
-  Alcotest.(check bool) "workload spans several segments" true
-    (Stdlib.Sys.file_exists (base ^ ".0002.seg"));
-  let seg = read_file torn in
-  for n = 0 to String.length seg - 1 do
-    write_file torn (String.sub seg 0 n);
-    match Log_segments.load base with
-    | Ok (log', r) ->
-      let got = List.length log'.Log.entries in
-      Alcotest.(check bool)
-        (Printf.sprintf "a prefix of the recording at byte %d" n)
-        true
-        (is_prefix log'.Log.entries log.Log.entries);
-      (* a cut that only sheds trailing whitespace leaves the segment
-         sealed and recovery lossless; any cut that actually tears it
-         must stop the walk there — sealed segments after the tear are
-         not this recording's suffix any more *)
-      Alcotest.(check bool)
-        (Printf.sprintf "nothing recovered past the tear at byte %d" n)
-        true
-        (got <= 4 + 4 || log'.Log.entries = log.Log.entries);
-      Alcotest.(check bool)
-        (Printf.sprintf "tear flagged at byte %d" n)
-        true
-        (Log_segments.is_damaged r)
-    | Error e -> Alcotest.fail (Printf.sprintf "byte %d: %s" n e)
-  done;
-  seg_cleanup base
+  List.iter
+    (fun j ->
+      let base = seg_base () in
+      Log_segments.save ~segment_entries:4 base log;
+      Stdlib.Sys.remove (base ^ ".manifest");
+      let torn = base ^ Printf.sprintf ".%04d.seg" j in
+      Alcotest.(check bool) "workload spans several segments" true
+        (Stdlib.Sys.file_exists (base ^ ".0002.seg"));
+      let seg = read_file torn in
+      for n = 0 to String.length seg - 1 do
+        write_file torn (String.sub seg 0 n);
+        match Log_segments.load base with
+        | Ok (log', r) ->
+          let got = List.length log'.Log.entries in
+          let at = Printf.sprintf " (segment %d, byte %d)" j n in
+          Alcotest.(check bool) ("a prefix of the recording" ^ at) true
+            (is_prefix log'.Log.entries log.Log.entries);
+          Alcotest.(check bool) ("sealed segments before the tear kept" ^ at)
+            true (got >= 4 * j);
+          (* a cut that only sheds trailing whitespace leaves the segment
+             sealed and recovery lossless; any cut that actually tears it
+             must stop the walk there — sealed segments after the tear
+             are not this recording's suffix any more *)
+          Alcotest.(check bool) ("nothing recovered past the tear" ^ at) true
+            (got <= (4 * j) + 4 || log'.Log.entries = log.Log.entries);
+          Alcotest.(check bool) ("tear flagged" ^ at) true
+            (Log_segments.is_damaged r)
+        | Error e -> Alcotest.fail (Printf.sprintf "segment %d, byte %d: %s" j n e)
+      done;
+      seg_cleanup base)
+    [ 0; 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fidelity_level combinators *)
@@ -847,11 +929,13 @@ let () =
             test_segments_missing_manifest;
           Alcotest.test_case "corrupt segment detected" `Quick
             test_segments_corrupt_segment_detected;
+          Alcotest.test_case "manifest bit rot is not complete" `Quick
+            test_segments_manifest_bit_rot;
+          Alcotest.test_case "save is one write per segment" `Quick
+            test_segments_io_shape;
           Alcotest.test_case "nothing there" `Quick test_segments_nothing_there;
           Alcotest.test_case "manifest survives every truncation" `Quick
             test_segments_manifest_every_truncation;
-          Alcotest.test_case "header survives every truncation" `Quick
-            test_segments_header_every_truncation;
           Alcotest.test_case "unsealed segment never leaks entries" `Quick
             test_segments_unsealed_every_truncation;
         ] );
