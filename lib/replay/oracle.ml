@@ -7,15 +7,16 @@ type handle = {
   violated : unit -> bool;
 }
 
-(* Per-thread value queues (inputs, logged reads). *)
+(* Per-thread value queues (inputs, logged reads), each in log order. *)
 let queues_of pairs =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (tid, v) ->
       match Hashtbl.find_opt tbl tid with
-      | Some r -> r := !r @ [ v ]
+      | Some r -> r := v :: !r
       | None -> Hashtbl.replace tbl tid (ref [ v ]))
     pairs;
+  Hashtbl.iter (fun _ r -> r := List.rev !r) tbl;
   tbl
 
 let pop tbl tid =
@@ -36,6 +37,35 @@ let input_queues log tids_of =
 
 let abort_of violated = fun _ -> if !violated then Some "log-divergence" else None
 
+(* Candidate scans for the per-step scheduling hooks. They walk the
+   candidate list in place: no filtered list, no closure, no option. *)
+
+(* some candidate is thread [tid] about to execute site [sid] *)
+let rec has_cand tid sid = function
+  | [] -> false
+  | (c : World.cand) :: tl ->
+    (c.World.tid = tid && c.World.sid = sid) || has_cand tid sid tl
+
+let rec count_where ok n = function
+  | [] -> n
+  | c :: tl -> count_where ok (if ok c then n + 1 else n) tl
+
+let rec nth_where ok k = function
+  | [] -> invalid_arg "Oracle.nth_where"
+  | c :: tl ->
+    if not (ok c) then nth_where ok k tl
+    else if k = 0 then c
+    else nth_where ok (k - 1) tl
+
+(* The seeded pick of the schedule oracles: the same single draw as
+   [Prng.pick rng (List.filter ok cands)] when some candidate is [ok], and
+   as [Prng.pick rng cands] when none is. The result is [ok] iff some
+   candidate is. *)
+let pick_eligible rng ok cands =
+  match count_where ok 0 cands with
+  | 0 -> Prng.pick rng cands
+  | n -> nth_where ok (Prng.int rng n) cands
+
 let perfect log =
   let remaining = ref (Log.sched_points log) in
   let inputs = input_queues log `All in
@@ -46,16 +76,11 @@ let perfect log =
       pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
-          | (t, s) :: tl -> (
-            match
-              List.find_opt
-                (fun c -> c.World.tid = t && c.World.sid = s)
-                cands
-            with
-            | Some _ ->
+          | (t, s) :: tl ->
+            if has_cand t s cands then (
               remaining := tl;
-              t
-            | None ->
+              t)
+            else (
               violated := true;
               (List.hd cands).World.tid)
           | [] -> (List.hd cands).World.tid);
@@ -132,114 +157,93 @@ let value_det ~seed log =
   let never = ref false in
   { world; abort = abort_of never; violated = (fun () -> !never) }
 
-(* Generic partial-schedule enforcement shared by RCSE and sync replay:
-   the recorded (tid, sid) subsequence must occur in order. The log cursor
+(* RCSE replay: the recorded [Cp_sched] (tid, sid) subsequence must occur
+   in order. The points sit in two int arrays behind a cursor, which
    advances on *observed events* (via the abort hook, which sees every
    event), not on scheduling decisions — a forced try_recv that finds an
-   empty queue emits nothing and must not consume a log entry. An event
-   matching a *later* entry means this interleaving cannot match the log:
-   the attempt is flagged and aborted.
+   empty queue emits nothing and must not consume a log entry. A site is
+   *pending* while it still occurs at or after the cursor, i.e. iff its
+   last log index is at or after the cursor; a dense (tid, sid) table of
+   last indices, built once per handle, answers that with one load. A
+   Step at a pending site other than the head means this interleaving
+   cannot match the log: the attempt is flagged and aborted.
 
-   Scheduling is tiered: (1) a candidate at the head entry is forced;
-   (2) otherwise candidates whose next site appears nowhere in the pending
-   log are safe (a statement only emits events carrying its own site id,
-   so they cannot produce an out-of-order logged event); (3) otherwise a
-   risky candidate runs — either harmlessly (a poll that emits nothing)
-   or producing the violation that aborts the attempt. Tier 3 prevents
-   livelock when the replay has genuinely diverged. *)
-let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
+   Scheduling is tiered: (1) a candidate at the head point is forced;
+   (2) otherwise candidates whose next site is not pending are safe (a
+   statement only emits events carrying its own site id, so they cannot
+   produce an out-of-order logged event); (3) otherwise a risky
+   candidate runs — either harmlessly (a poll that emits nothing) or
+   producing the violation that aborts the attempt. Tier 3 prevents
+   livelock when the replay has genuinely diverged.
+
+   Windowed (trigger/invariant) logs record a time slice whose sites also
+   execute legitimately outside the window, so schedule enforcement is
+   only meaningful for statically selected (code-based) logs: without
+   [strict] no point is enforced, and replay pins the recorded inputs by
+   site and searches the schedule. *)
+let rcse ?(strict = true) ~seed log =
   let rng = Prng.create seed in
-  let remaining = ref points in
-  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace pending p
-        (1 + Option.value ~default:0 (Hashtbl.find_opt pending p)))
-    points;
-  let take_pending p =
-    match Hashtbl.find_opt pending p with
-    | Some 1 -> Hashtbl.remove pending p
-    | Some n -> Hashtbl.replace pending p (n - 1)
-    | None -> ()
+  let points = if strict then Array.of_list (Log.cp_sched_points log) else [||] in
+  let n = Array.length points in
+  let pt = Array.map fst points and ps = Array.map snd points in
+  let pos = ref 0 in
+  let dim xs = 1 + Array.fold_left max (-1) xs in
+  let rows = dim pt and width = dim ps in
+  (* last.(tid * width + sid): the last log index of (tid, sid), or -1 *)
+  let last = Array.make (rows * width) (-1) in
+  Array.iteri
+    (fun i t -> if t >= 0 && ps.(i) >= 0 then last.((t * width) + ps.(i)) <- i)
+    pt;
+  let pending t s =
+    t >= 0 && s >= 0 && t < rows && s < width && last.((t * width) + s) >= !pos
   in
-  let is_pending p = Hashtbl.mem pending p in
+  let safe (c : World.cand) = not (pending c.World.tid c.World.sid) in
   let violated = ref false in
   let cp_inputs =
-    if marked_inputs then
-      queues_of
-        (List.filter_map
-           (function
-             | Log.Cp_input { tid; sid; value; _ } -> Some (tid, (sid, value))
-             | _ -> None)
-           log.Log.entries)
-    else
-      queues_of
-        (List.filter_map
-           (function
-             | Log.Input { tid; value; _ } -> Some (tid, (0, value))
-             | _ -> None)
-           log.Log.entries)
+    queues_of
+      (List.filter_map
+         (function
+           | Log.Cp_input { tid; sid; value; _ } -> Some (tid, (sid, value))
+           | _ -> None)
+         log.Log.entries)
   in
   (* the site each thread is currently executing, set at pick time: input
-     forcing aligns logged input sites against it *)
-  let cur_sid : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let advance (e : Event.t) =
-    if event_matches e then
-      let p = (e.Event.tid, e.Event.sid) in
-      match !remaining with
-      | h :: tl when h = p ->
-        remaining := tl;
-        take_pending p
-      | _ -> if strict && is_pending p then violated := true
+     forcing aligns logged input sites against it. Only threads with
+     logged inputs are ever asked, so the array stops at the last of them *)
+  let cur_sid =
+    Array.make (1 + Hashtbl.fold (fun t _ m -> max t m) cp_inputs (-1)) (-1)
   in
-  let abort e =
-    advance e;
+  let note tid sid = if tid < Array.length cur_sid then cur_sid.(tid) <- sid in
+  let abort (e : Event.t) =
+    (match e.Event.kind with
+    | Event.Step ->
+      let p = !pos and t = e.Event.tid and s = e.Event.sid in
+      if p < n && pt.(p) = t && ps.(p) = s then pos := p + 1
+      else if pending t s then violated := true
+    | _ -> ());
     if !violated then Some "log-divergence" else None
   in
   let pick_thread ~step:_ cands =
-    let head = match !remaining with p :: _ -> Some p | [] -> None in
-    let forced =
-      match head with
-      | Some (t, s) ->
-        List.find_opt (fun c -> c.World.tid = t && c.World.sid = s) cands
-      | None -> None
-    in
-    match forced with
-    | Some c ->
-      Hashtbl.replace cur_sid c.World.tid c.World.sid;
+    let p = !pos in
+    if p < n && has_cand pt.(p) ps.(p) cands then (
+      note pt.(p) ps.(p);
+      pt.(p))
+    else
+      let c = pick_eligible rng safe cands in
+      note c.World.tid c.World.sid;
       c.World.tid
-    | None -> (
-      let safe =
-        List.filter (fun c -> not (is_pending (c.World.tid, c.World.sid))) cands
-      in
-      let c =
-        match safe with [] -> Prng.pick rng cands | _ -> Prng.pick rng safe
-      in
-      Hashtbl.replace cur_sid c.World.tid c.World.sid;
-      c.World.tid)
   in
   let pick_input ~step:_ ~tid ~chan:_ ~domain =
-    let head =
-      match Hashtbl.find_opt cp_inputs tid with
-      | Some { contents = v :: _ } -> Some v
-      | Some { contents = [] } | None -> None
-    in
-    let forced =
-      match head with
-      | Some (s, v)
-        when (not marked_inputs)
-             || Hashtbl.find_opt cur_sid tid = Some s ->
-        ignore (pop cp_inputs tid);
-        Some v
-      | Some _ | None -> None
-    in
-    match forced with
-    | Some v -> v
-    | None -> ( match domain with [] -> Value.unit | _ -> Prng.pick rng domain)
+    match Hashtbl.find_opt cp_inputs tid with
+    | Some ({ contents = (s, v) :: tl } as r) when cur_sid.(tid) = s ->
+      r := tl;
+      v
+    | Some _ | None -> (
+      match domain with [] -> Value.unit | _ -> Prng.pick rng domain)
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:%s(seed=%d)" name seed;
+      World.name = Printf.sprintf "replay:rcse(seed=%d)" seed;
       pick_thread;
       pick_input;
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
@@ -250,98 +254,101 @@ let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
   in
   { world; abort; violated = (fun () -> !violated) }
 
-let rcse ?(strict = true) ~seed log =
-  (* windowed (trigger/invariant) logs record a time slice whose sites also
-     execute legitimately outside the window, so schedule enforcement is
-     only meaningful for statically selected (code-based) logs; windowed
-     replay pins the recorded inputs by site and searches the schedule *)
-  let points = if strict then Log.cp_sched_points log else [] in
-  subsequence ~name:"rcse" ~seed ~points
-    ~event_matches:(fun (e : Event.t) ->
-      match e.Event.kind with Event.Step -> true | _ -> false)
-    ~marked_inputs:true ~strict log
-
 (* Sync-schedule replay enforces *per-object* operation orders, which is
    what an ODR-style logger records: per-channel send and consume orders,
    the global spawn order (it assigns thread ids) and per-lock acquisition
    orders. A try_recv whose thread is not the next recorded consumer of its
-   channel is forced to miss (harmless poll); a send or spawn is only
+   channel is forced to miss (harmless poll); a send, spawn or lock is only
    scheduled when it is next in its object's order; an event that still
    comes out of order (or was never recorded at all) aborts the attempt.
    Plain shared-memory access order is deliberately unconstrained: data-race
-   outcomes are what this scheme must infer (searched by restarts). *)
+   outcomes are what this scheme must infer (searched by restarts).
+
+   Each object's recorded order is a pair of int arrays behind a cursor.
+   Events and polls find their object by name in a short array scan of
+   their kind (no key string is built or hashed), and the scheduler finds
+   a statement's object through an array indexed by its site. *)
+type order = {
+  name : string;  (** channel or lock; "" for the spawn order *)
+  tids : int array;
+  sids : int array;
+  mutable next : int;  (** cursor: the index of the next expected operation *)
+}
+
+let heads o tid sid =
+  o.next < Array.length o.tids && o.tids.(o.next) = tid && o.sids.(o.next) = sid
+
+(* the order named [name] in [os], or [absent] (an empty order) *)
+let rec find_order absent os name i =
+  if i = Array.length os then absent
+  else if String.equal os.(i).name name then os.(i)
+  else find_order absent os name (i + 1)
+
 let sync ~seed log =
   let rng = Prng.create seed in
-  let orders : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let key_of_op = function
-    | Log.Op_send c -> Some ("s:" ^ c)
-    | Log.Op_recv c -> Some ("r:" ^ c)
-    | Log.Op_spawn -> Some "spawn"
-    | Log.Op_lock m -> Some ("l:" ^ m)
-    | Log.Op_unlock _ -> None
+  let entries = Log.sync_entries log in
+  let orders_of select =
+    Hashtbl.fold
+      (fun name q acc ->
+        let q = Array.of_list !q in
+        { name; tids = Array.map fst q; sids = Array.map snd q; next = 0 } :: acc)
+      (queues_of (List.filter_map select entries))
+      []
+    |> Array.of_list
   in
-  (* site -> object key: lets the scheduler hold back a send/spawn/lock
-     statement until it is next in its object's order *)
-  let site_key : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  let blocking_site : (int, unit) Hashtbl.t = Hashtbl.create 32 in
+  let sends = orders_of (function t, s, Log.Op_send c -> Some (c, (t, s)) | _ -> None)
+  and recvs = orders_of (function t, s, Log.Op_recv c -> Some (c, (t, s)) | _ -> None)
+  and locks = orders_of (function t, s, Log.Op_lock m -> Some (m, (t, s)) | _ -> None)
+  and spawns = orders_of (function t, s, Log.Op_spawn -> Some ("", (t, s)) | _ -> None) in
+  let absent = { name = ""; tids = [||]; sids = [||]; next = 0 } in
+  let spawn = find_order absent spawns "" 0 in
+  (* site -> the order of the send, spawn or lock statement there
+     ([absent] for any other site): the scheduler holds such a statement
+     back until it is next in its object's order *)
+  let site_order =
+    Array.make (1 + List.fold_left (fun m (_, s, _) -> max m s) (-1) entries) absent
+  in
   List.iter
-    (fun (tid, sid, op) ->
-      match key_of_op op with
-      | None -> ()
-      | Some key ->
-        (match Hashtbl.find_opt orders key with
-        | Some r -> r := !r @ [ (tid, sid) ]
-        | None -> Hashtbl.replace orders key (ref [ (tid, sid) ]));
-        (match op with
-        | Log.Op_send _ | Log.Op_spawn | Log.Op_lock _ ->
-          Hashtbl.replace site_key sid key;
-          Hashtbl.replace blocking_site sid ()
-        | Log.Op_recv _ | Log.Op_unlock _ -> ()))
-    (Log.sync_entries log);
-  let head key =
-    match Hashtbl.find_opt orders key with
-    | Some { contents = p :: _ } -> Some p
-    | Some { contents = [] } | None -> None
-  in
-  let violated_set = ref false in
-  let advance key p ok_unlogged =
-    match Hashtbl.find_opt orders key with
-    | Some ({ contents = h :: tl } as r) when h = p -> r := tl
-    | Some _ -> violated_set := true
-    | None -> if not ok_unlogged then violated_set := true
+    (fun (_, sid, op) ->
+      match op with
+      | _ when sid < 0 -> ()
+      | Log.Op_send c -> site_order.(sid) <- find_order absent sends c 0
+      | Log.Op_spawn -> site_order.(sid) <- spawn
+      | Log.Op_lock m -> site_order.(sid) <- find_order absent locks m 0
+      | Log.Op_recv _ | Log.Op_unlock _ -> ())
+    entries;
+  let violated = ref false in
+  let advance o (e : Event.t) =
+    if heads o e.Event.tid e.Event.sid then o.next <- o.next + 1
+    else violated := true
   in
   let abort (e : Event.t) =
     (match e.Event.kind with
-    | Event.Msg_send io -> advance ("s:" ^ io.Event.chan) (e.Event.tid, e.Event.sid) false
-    | Event.Msg_recv io -> advance ("r:" ^ io.Event.chan) (e.Event.tid, e.Event.sid) false
-    | Event.Spawned _ -> advance "spawn" (e.Event.tid, e.Event.sid) false
-    | Event.Lock_acq m -> advance ("l:" ^ m) (e.Event.tid, e.Event.sid) false
+    | Event.Msg_send io -> advance (find_order absent sends io.Event.chan 0) e
+    | Event.Msg_recv io -> advance (find_order absent recvs io.Event.chan 0) e
+    | Event.Spawned _ -> advance spawn e
+    | Event.Lock_acq m -> advance (find_order absent locks m 0) e
     | Event.Step | Event.Read _ | Event.Write _ | Event.In _ | Event.Out _
     | Event.Lock_rel _ | Event.Crashed _ ->
       ());
-    if !violated_set then Some "sync-order-divergence" else None
+    if !violated then Some "sync-order-divergence" else None
   in
   let inputs = input_queues log `All in
   let allowed (c : World.cand) =
-    if not (Hashtbl.mem blocking_site c.World.sid) then true
-    else
-      match Hashtbl.find_opt site_key c.World.sid with
-      | None -> true
-      | Some key -> (
-        match head key with
-        | Some (t, s) -> t = c.World.tid && s = c.World.sid
-        | None -> false)
+    let s = c.World.sid in
+    s < 0
+    || s >= Array.length site_order
+    || site_order.(s) == absent
+    || heads site_order.(s) c.World.tid s
   in
   let world =
     {
       World.name = Printf.sprintf "replay:sync(seed=%d)" seed;
       pick_thread =
         (fun ~step:_ cands ->
-          match List.filter allowed cands with
-          | [] ->
-            violated_set := true;
-            (Prng.pick rng cands).World.tid
-          | ok -> (Prng.pick rng ok).World.tid);
+          let c = pick_eligible rng allowed cands in
+          if not (allowed c) then violated := true;
+          c.World.tid);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -351,18 +358,18 @@ let sync ~seed log =
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv =
         (fun ~step:_ ~tid ~sid:_ ~chan ->
-          match head ("r:" ^ chan) with
-          | Some (t, _) when t = tid -> World.Default
-          | Some _ -> World.Force_fail
-          | None -> World.Force_fail);
+          let o = find_order absent recvs chan 0 in
+          if o.next < Array.length o.tids && o.tids.(o.next) = tid then
+            World.Default
+          else World.Force_fail);
       passive_try_recv = false;
     }
   in
-  { world; abort; violated = (fun () -> !violated_set) }
+  { world; abort; violated = (fun () -> !violated) }
 
 (* Partial-evidence replay over a stitched shard merge. The merged log
    is dense for surviving threads (a perfect recorder logs every one of
-   their steps), so the subsequence scheduler above would starve them:
+   their steps), so the RCSE scheduler above would starve them:
    all their sites are "pending", only lost-node threads ever look safe,
    and one stalled head wedges the run. Instead the partial oracle
    steers softly — when the merged order's head is an eligible
@@ -399,22 +406,17 @@ let partial ?(steer = no_steer) ~seed log =
   (* on a cursor stall, prefer a lost thread sitting at a statically hot
      site: those are the only decision points whose order the search
      actually needs to explore *)
+  let hot_lost (c : World.cand) =
+    Hashtbl.mem lost c.World.tid && Hashtbl.mem hot c.World.sid
+  in
   let pick_free ~stalled cands =
     (* a stall (merged-order head present but not eligible) is expected
        under partial evidence, not divergence — but its frequency is
        exactly the cost of the lost node, so the trace counts it *)
     if stalled then Ddet_obs.Tracer.bump c_stalls 1;
-    let hot_cands =
-      List.filter
-        (fun (c : World.cand) ->
-          Hashtbl.mem lost c.World.tid && Hashtbl.mem hot c.World.sid)
-        cands
-    in
-    match hot_cands with
-    | [] -> (Prng.pick rng cands).World.tid
-    | hc ->
-      Ddet_obs.Tracer.bump c_hot 1;
-      (Prng.pick rng hc).World.tid
+    let c = pick_eligible rng hot_lost cands in
+    if hot_lost c then Ddet_obs.Tracer.bump c_hot 1;
+    c.World.tid
   in
   let advance (e : Event.t) =
     match e.Event.kind with
@@ -434,14 +436,8 @@ let partial ?(steer = no_steer) ~seed log =
       pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
-          | (t, s) :: _ -> (
-            match
-              List.find_opt
-                (fun c -> c.World.tid = t && c.World.sid = s)
-                cands
-            with
-            | Some c -> c.World.tid
-            | None -> pick_free ~stalled:true cands)
+          | (t, s) :: _ ->
+            if has_cand t s cands then t else pick_free ~stalled:true cands
           | [] -> pick_free ~stalled:false cands);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->

@@ -581,6 +581,255 @@ let test_find_failing_seed_parity () =
   | None, None -> Alcotest.fail "miniht should have a failing seed"
   | _ -> Alcotest.fail "scan outcomes disagree"
 
+(* ------------------------------------------------------------------ *)
+(* oracle edges: the schedule oracles driven by hand-made candidates and
+   events, one hook call at a time *)
+
+let cand tid sid = { World.tid; sid; fname = "f" }
+let ev ?(kind = Event.Step) tid sid = { Event.step = 0; tid; sid; fname = "f"; kind }
+let sent chan = Event.Msg_send { Event.chan; value = Value.untainted (Value.int 1) }
+
+let log_of entries =
+  Log.make ~recorder:"hand" ~entries ~base_steps:0 ~failure:None ()
+
+(* (1, 10) is logged twice, around (2, 20) *)
+let twice_log =
+  log_of
+    [
+      Log.Cp_sched { tid = 1; sid = 10 };
+      Log.Cp_sched { tid = 2; sid = 20 };
+      Log.Cp_sched { tid = 1; sid = 10 };
+    ]
+
+let picks (h : Oracle.handle) cands =
+  h.Oracle.world.World.pick_thread ~step:0 cands
+
+let test_rcse_repeated_site_pending () =
+  for seed = 1 to 20 do
+    let h = Oracle.rcse ~seed twice_log in
+    Alcotest.(check (option string)) "head step runs" None
+      (h.Oracle.abort (ev 1 10));
+    (* (1, 10) occurs again after the cursor: still pending, so the only
+       safe candidate is thread 3 *)
+    Alcotest.(check int) "pending site held back" 3
+      (picks h [ cand 1 10; cand 3 30 ])
+  done
+
+let test_rcse_out_of_order_violates () =
+  let h = Oracle.rcse ~seed:1 twice_log in
+  ignore (h.Oracle.abort (ev 1 10));
+  Alcotest.(check (option string)) "pending site out of order"
+    (Some "log-divergence") (h.Oracle.abort (ev 1 10));
+  Alcotest.(check bool) "violated" true (h.Oracle.violated ())
+
+let test_rcse_last_occurrence_consumed () =
+  let consumed seed =
+    let h = Oracle.rcse ~seed twice_log in
+    List.iter
+      (fun (t, s) ->
+        Alcotest.(check (option string)) "in order" None
+          (h.Oracle.abort (ev t s)))
+      [ (1, 10); (2, 20); (1, 10) ];
+    h
+  in
+  let h = consumed 1 in
+  Alcotest.(check (option string)) "site runs again freely" None
+    (h.Oracle.abort (ev 1 10));
+  Alcotest.(check bool) "no violation" false (h.Oracle.violated ());
+  let chosen =
+    List.init 20 (fun seed -> picks (consumed seed) [ cand 1 10; cand 3 30 ])
+  in
+  Alcotest.(check bool) "no longer held back" true (List.mem 1 chosen)
+
+let test_rcse_not_strict_never_violates () =
+  let h = Oracle.rcse ~strict:false ~seed:1 twice_log in
+  List.iter
+    (fun (t, s) ->
+      Alcotest.(check (option string)) "never aborts" None
+        (h.Oracle.abort (ev t s)))
+    [ (2, 20); (1, 10); (1, 10); (1, 10); (2, 20) ];
+  Alcotest.(check bool) "never violated" false (h.Oracle.violated ())
+
+let sync_log =
+  log_of
+    [
+      Log.Sync { tid = 1; sid = 5; op = Log.Op_send "a" };
+      Log.Sync { tid = 2; sid = 6; op = Log.Op_recv "a" };
+    ]
+
+let test_sync_unlogged_send_aborts () =
+  let h = Oracle.sync ~seed:1 sync_log in
+  Alcotest.(check (option string)) "send on a never-logged channel"
+    (Some "sync-order-divergence")
+    (h.Oracle.abort (ev ~kind:(sent "b") 1 5));
+  Alcotest.(check bool) "violated" true (h.Oracle.violated ())
+
+let test_sync_try_recv_forced_miss () =
+  let h = Oracle.sync ~seed:1 sync_log in
+  let poll tid chan =
+    h.Oracle.world.World.on_try_recv ~step:0 ~tid ~sid:6 ~chan
+  in
+  let is_fail = function World.Force_fail -> true | _ -> false in
+  Alcotest.(check bool) "not the next consumer: forced miss" true
+    (is_fail (poll 3 "a"));
+  Alcotest.(check bool) "the next consumer polls normally" true
+    (poll 2 "a" = World.Default);
+  Alcotest.(check bool) "never-logged channel: forced miss" true
+    (is_fail (poll 2 "b"))
+
+(* ------------------------------------------------------------------ *)
+(* golden outcomes: the RCSE and sync searches, pinned to the outcomes an
+   earlier build produced. Each row is "app model seed attempts
+   total_steps status closeness md5", where md5 is the digest of the
+   accepted trace (or of the best partial when none was accepted),
+   rendered one [Event.pp] per line. A change to either oracle that moves
+   a single pick, abort or trace shows up here. *)
+
+let golden_rows =
+  [
+    "miniht sync 1 4 3299 reproduced 1 65cc4880157c3f9154ff58a6fdce1f76";
+    "miniht sync 2 3 2177 reproduced 1 6fff3d80c239fb1ec70fe8f8795d356d";
+    "miniht sync 3 1 822 reproduced 1 75bab8a49cde79d1042a794846f74258";
+    "miniht sync 4 60 40806 partial 0.5 075374549b07b342966ffb9d881c4f3c";
+    "miniht sync 5 1 888 reproduced 1 328fdc60052085aafa6ae352cf3c9d51";
+    "miniht sync 6 2 1537 reproduced 1 6a16d3cfa02858b190c471ffddb1125a";
+    "miniht sync 7 3 2200 reproduced 1 de883480819a3fe3e01cf551ff839646";
+    "miniht sync 8 5 3561 reproduced 1 629027662eacd55fd4b622ef68b9139d";
+    "miniht sync 9 60 42028 partial 0.5 a96a88ad55718b381765b6dd239bccc3";
+    "miniht sync 10 47 33041 reproduced 1 c083c67ffe0218f2a137447377ce01ed";
+    "miniht rcse-code 1 1 795 reproduced 1 486bac8757d19ee69730f0d4aa505877";
+    "miniht rcse-code 2 1 766 reproduced 1 a98eb020de563ce9ac1a810b4adae179";
+    "miniht rcse-code 3 1 780 reproduced 1 a1464f6f19b2368d7c419522ffbe2e3a";
+    "miniht rcse-code 4 1 762 reproduced 1 977bda49b1f629c1e7cefa0101f57323";
+    "miniht rcse-code 5 1 876 reproduced 1 4c963c151bc29296c05f19d69b7cb378";
+    "miniht rcse-code 6 1 788 reproduced 1 9f9b93e981bd8e050e3986e63d6c638a";
+    "miniht rcse-code 7 3 20800 reproduced 1 bd36d64e15cb71ed2bbd3aadde654b58";
+    "miniht rcse-code 8 1 819 reproduced 1 bef1a0ba219dae402295e78854ee8c54";
+    "miniht rcse-code 9 3 20772 reproduced 1 67e80d2c8b207843aa139547f7780471";
+    "miniht rcse-code 10 5 40779 reproduced 1 4f9f5191f43e5059758fd44d8cf7d170";
+    "miniht rcse-combined 1 2 1610 reproduced 1 1a7a72af08228195e61bd5d053ce5d96";
+    "miniht rcse-combined 2 3 2414 reproduced 1 8f1ebb6e4cfa701ee7e8e1b249a1d2bb";
+    "miniht rcse-combined 3 1 786 reproduced 1 44e831511d80be1e9376563366deb335";
+    "miniht rcse-combined 4 1 786 reproduced 1 af167d018c27eee859c26a65fff4451f";
+    "miniht rcse-combined 5 1 860 reproduced 0.75 bd0c913a6a560e51366e73a6b1d370af";
+    "miniht rcse-combined 6 1 788 reproduced 1 fc6790e7a3aefa5b59bd0f195ce1e8ff";
+    "miniht rcse-combined 7 1 802 reproduced 1 47238e05f08a05e6b354bbf40ed4fd70";
+    "miniht rcse-combined 8 1 867 reproduced 0.75 624f7c9abbb891616ddd7e4a7594fe12";
+    "miniht rcse-combined 9 3 2414 reproduced 1 04327be90c1bd4051b0b6f1715138cf7";
+    "miniht rcse-combined 10 1 805 reproduced 1 2c635722973c3bff14e3fa3fd3fd00a2";
+    "cloudstore sync 1 1 987 reproduced 1 958b30d3d278a6029acaf2521d2fb83e";
+    "cloudstore sync 2 1 985 reproduced 1 38e9313266dff072fb834af3f32ed4e0";
+    "cloudstore sync 3 1 995 reproduced 1 e7a98a733b3157b7da317630beff9921";
+    "cloudstore sync 4 1 934 reproduced 1 ddc6b777b30853a1566e134bd046a9bc";
+    "cloudstore sync 5 1 999 reproduced 1 b881f73b3ed590cf07febabe5dfdf669";
+    "cloudstore sync 6 1 995 reproduced 1 ce2831a18c8f0a3d3b6ab571596bb9db";
+    "cloudstore sync 7 1 995 reproduced 1 b0e4958cf73902511c1229b98393bb03";
+    "cloudstore sync 8 1 999 reproduced 1 ac46f06902355134fefeb73e5c8f70df";
+    "cloudstore sync 9 1 995 reproduced 1 71a631be661ef22352c96c8adb190e27";
+    "cloudstore sync 10 1 940 reproduced 1 8e7c6f6e0712f745cfd1f7f05a671e98";
+    "cloudstore rcse-code 1 1 983 reproduced 1 a7417dbcca14cbf5386617d38747cf89";
+    "cloudstore rcse-code 2 1 969 reproduced 1 028775ad09808fcd684ef26ee4967674";
+    "cloudstore rcse-code 3 1 961 reproduced 1 8a034711ffcf66ead041d7152fa2f177";
+    "cloudstore rcse-code 4 2 1879 reproduced 1 8766ee75484c97b91d9351cdfdef45a8";
+    "cloudstore rcse-code 5 1 1014 reproduced 1 813d9851bc8611796c418078e9967384";
+    "cloudstore rcse-code 6 1 963 reproduced 1 dd3f992b01c55b0e182440486202cf57";
+    "cloudstore rcse-code 7 1 961 reproduced 1 5a83b86d9f9ac55f8762a0edd21a9a89";
+    "cloudstore rcse-code 8 1 987 reproduced 1 bc4840580f34458551e8c35adc0f816f";
+    "cloudstore rcse-code 9 1 962 reproduced 1 a147b5d1f8f7501b7f417612f2bda6c8";
+    "cloudstore rcse-code 10 1 982 reproduced 1 5e79df4c3daa3555f4cbc824bc26ab3e";
+    "cloudstore rcse-combined 1 1 916 reproduced 1 1b7f05fb88e0c713c49dd382e7767804";
+    "cloudstore rcse-combined 2 1 962 reproduced 1 715e1545607695984960b8bf4833fe03";
+    "cloudstore rcse-combined 3 1 958 reproduced 1 72eb74c58f3e2720e3ac75125395a9a3";
+    "cloudstore rcse-combined 4 1 934 reproduced 1 ddc6b777b30853a1566e134bd046a9bc";
+    "cloudstore rcse-combined 5 1 938 reproduced 1 71304678975ed5174ddc8aee6a4de1db";
+    "cloudstore rcse-combined 6 1 958 reproduced 1 4d3f600a53532b2298dbb8358fe457da";
+    "cloudstore rcse-combined 7 1 958 reproduced 1 00984bd92d26086a67214fd44e7f74f6";
+    "cloudstore rcse-combined 8 1 938 reproduced 1 0b7a78f3f7bd6ae76dd39348c8f94e44";
+    "cloudstore rcse-combined 9 1 972 reproduced 1 d9392a5ae946b3ef71533a184faf27e1";
+    "cloudstore rcse-combined 10 1 940 reproduced 1 8e7c6f6e0712f745cfd1f7f05a671e98";
+    "msg_server sync 1 1 349 reproduced 1 410193885bf2f65cf7ff0a998f39f37d";
+    "msg_server sync 2 1 358 reproduced 1 16b1f014f27bf3b14f184150820418d9";
+    "msg_server sync 3 1 330 reproduced 1 deafe7eef47067890268f545a6c6ebc5";
+    "msg_server sync 4 1 330 reproduced 1 d752cd9fdad18b860b3410ad4ff6222a";
+    "msg_server sync 5 1 331 reproduced 1 98e256cb14a56766bb4c4a7a1f600b9c";
+    "msg_server sync 6 1 331 reproduced 1 17195327c00c6b6639951c6a51d78ccb";
+    "msg_server sync 7 1 358 reproduced 1 fe242884c37bbab42f045999bd48ebcb";
+    "msg_server sync 8 1 329 reproduced 1 6053496001a8ad414640c2789663be4e";
+    "msg_server sync 9 1 349 reproduced 1 4d1734f2f8254b039b4bf29364fbcc7c";
+    "msg_server sync 10 1 330 reproduced 1 4c6f2ec5dc5d6143831b9e3c37e7af4a";
+    "msg_server rcse-code 1 60 600000 partial 0 660375d559ffc5d7fc803bffccea6254";
+    "msg_server rcse-code 2 60 600000 partial 0 660375d559ffc5d7fc803bffccea6254";
+    "msg_server rcse-code 3 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
+    "msg_server rcse-code 4 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
+    "msg_server rcse-code 5 60 600000 partial 0 4fc1dba477ee9a4707b523b240bb35ee";
+    "msg_server rcse-code 6 60 600000 partial 0 8642f16b4d7b920b22a102a14cb78d8f";
+    "msg_server rcse-code 7 60 600000 partial 0 e2df568457c2cf4dba6e041860857671";
+    "msg_server rcse-code 8 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
+    "msg_server rcse-code 9 60 600000 partial 0 8642f16b4d7b920b22a102a14cb78d8f";
+    "msg_server rcse-code 10 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
+    "msg_server rcse-combined 1 1 349 reproduced 1 410193885bf2f65cf7ff0a998f39f37d";
+    "msg_server rcse-combined 2 1 358 reproduced 1 16b1f014f27bf3b14f184150820418d9";
+    "msg_server rcse-combined 3 1 330 reproduced 1 deafe7eef47067890268f545a6c6ebc5";
+    "msg_server rcse-combined 4 1 330 reproduced 1 d752cd9fdad18b860b3410ad4ff6222a";
+    "msg_server rcse-combined 5 1 331 reproduced 1 98e256cb14a56766bb4c4a7a1f600b9c";
+    "msg_server rcse-combined 6 1 331 reproduced 1 17195327c00c6b6639951c6a51d78ccb";
+    "msg_server rcse-combined 7 1 358 reproduced 1 fe242884c37bbab42f045999bd48ebcb";
+    "msg_server rcse-combined 8 1 329 reproduced 1 6053496001a8ad414640c2789663be4e";
+    "msg_server rcse-combined 9 1 349 reproduced 1 4d1734f2f8254b039b4bf29364fbcc7c";
+    "msg_server rcse-combined 10 1 330 reproduced 1 4c6f2ec5dc5d6143831b9e3c37e7af4a";
+  ]
+
+let render_md5 (r : Interp.result) =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter (fun e -> Format.fprintf ppf "%a@." Event.pp e)
+    (Trace.events r.Interp.trace);
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_outcomes () =
+  let open Ddet in
+  let budget =
+    { Search.max_attempts = 60; max_steps_per_attempt = 10_000; base_seed = 1;
+      deadline_s = None }
+  in
+  let models =
+    [ ("sync", Model.Sync); ("rcse-code", Model.Rcse Model.Code_based);
+      ("rcse-combined", Model.Rcse Model.Combined) ]
+  in
+  let apps =
+    Ddet_apps.[ Miniht.app (); Cloudstore.app (); Msg_server.app () ]
+  in
+  let rows =
+    List.concat_map
+      (fun (app : Ddet_apps.App.t) ->
+        List.concat_map
+          (fun (name, model) ->
+            let p =
+              Session.prepare ~config:{ Config.default with Config.budget }
+                model app
+            in
+            List.init 10 (fun i ->
+                let seed = i + 1 in
+                let _, log = Session.record p ~seed in
+                let o = Session.replay p log in
+                let status, closeness, md5 =
+                  match (o.Replayer.result, o.Replayer.partial) with
+                  | Some r, _ ->
+                    ("reproduced", Constraints.closeness log r, render_md5 r)
+                  | None, Some pa ->
+                    ("partial", pa.Search.closeness, render_md5 pa.Search.best)
+                  | None, None -> ("none", 0.0, "-")
+                in
+                Printf.sprintf "%s %s %d %d %d %s %.17g %s" app.Ddet_apps.App.name
+                  name seed o.Replayer.attempts o.Replayer.total_steps status
+                  closeness md5))
+          models)
+      apps
+  in
+  Alcotest.(check (list string)) "outcomes match the pinned table" golden_rows
+    rows
+
 let () =
   Alcotest.run "replay"
     [
@@ -645,5 +894,25 @@ let () =
           Alcotest.test_case "sync det" `Quick test_sync_det_reproduces;
           Alcotest.test_case "rcse empty log" `Quick test_rcse_empty_log_is_free_search;
           Alcotest.test_case "rcse full log" `Quick test_rcse_full_log_replays_immediately;
+        ] );
+      ( "oracle edges",
+        [
+          Alcotest.test_case "repeated site stays pending" `Quick
+            test_rcse_repeated_site_pending;
+          Alcotest.test_case "pending site out of order violates" `Quick
+            test_rcse_out_of_order_violates;
+          Alcotest.test_case "last occurrence consumed frees the site" `Quick
+            test_rcse_last_occurrence_consumed;
+          Alcotest.test_case "non-strict never violates" `Quick
+            test_rcse_not_strict_never_violates;
+          Alcotest.test_case "unlogged send aborts" `Quick
+            test_sync_unlogged_send_aborts;
+          Alcotest.test_case "try_recv of a non-consumer misses" `Quick
+            test_sync_try_recv_forced_miss;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "sync and rcse outcomes pinned" `Slow
+            test_golden_outcomes;
         ] );
     ]
