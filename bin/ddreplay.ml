@@ -695,6 +695,7 @@ let standard_counters =
     "search.deadline_hits"; "search.incidents"; "stitch.edges_enforced";
     "stitch.edges_dropped"; "store.retries"; "store.give_ups";
     "oracle.cursor_stalls"; "oracle.steer_hot_picks"; "oracle.cold_pins";
+    "oracle.rcse_stall_cuts";
   ]
 
 (* the debug flow without its prints: every phase runs under the ambient

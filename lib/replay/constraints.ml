@@ -1,10 +1,14 @@
 open Mvm
 open Ddet_record
 
+(* A passing recording is matched only by a run that ends on its own: an
+   aborted run (diverged, cut, or cancelled by a deadline) also carries
+   no failure, but it never got to show whether it passes. *)
 let failure_matches log (r : Interp.result) =
   match Log.recorded_failure log, r.failure with
   | Some f, Some f' -> Failure.equal f f'
-  | None, None -> true
+  | None, None -> (
+    match r.status with Interp.Aborted _ -> false | _ -> true)
   | Some _, None | None, Some _ -> false
 
 let outputs_match log (r : Interp.result) =

@@ -7,7 +7,9 @@ open Mvm
 open Ddet_record
 
 (** [failure_matches log r] — the run exhibits the recorded failure
-    (failure determinism's guarantee). *)
+    (failure determinism's guarantee). A recording without a failure is
+    matched only by a run that ended without one and was not
+    [Interp.Aborted]. *)
 val failure_matches : Log.t -> Interp.result -> bool
 
 (** [outputs_match log r] — the run's per-channel outputs equal the logged

@@ -46,6 +46,13 @@ let rec has_cand tid sid = function
   | (c : World.cand) :: tl ->
     (c.World.tid = tid && c.World.sid = sid) || has_cand tid sid tl
 
+(* the site thread [tid] is about to execute, or -1 when it is not a
+   candidate *)
+let rec cand_sid tid = function
+  | [] -> -1
+  | (c : World.cand) :: tl ->
+    if c.World.tid = tid then c.World.sid else cand_sid tid tl
+
 let rec count_where ok n = function
   | [] -> n
   | c :: tl -> count_where ok (if ok c then n + 1 else n) tl
@@ -176,6 +183,25 @@ let value_det ~seed log =
    producing the violation that aborts the attempt. Tier 3 prevents
    livelock when the replay has genuinely diverged.
 
+   A strict attempt is cut once its cursor is frozen: the head point's
+   thread is a candidate whose next site is pending but is not the head
+   site, and the recording has no failure or a spec violation. The cut
+   ends the attempt as [Aborted "rcse-stall"] on the next event, because
+   no continuation can be accepted:
+   - the head thread's next statement stays fixed until that thread runs,
+     and the cursor cannot move before it does. When it runs, it emits a
+     Step at a pending site that is not the head, which is a violation;
+   - so the run can never end [Done], which needs every thread's frames
+     empty. Fault plans only deschedule threads, never remove one;
+   - a passing recording is matched only by a [Done] run (an aborted one
+     never matches it), and a spec violation only comes from [Spec.apply]
+     on a [Done] run.
+   A crash or a hang can still happen while the head thread waits, so
+   such recordings are never cut. The picks ignore the cut, and a
+   violation still wins over it as the abort reason: an attempt whose
+   [abort] ignores "rcse-stall" runs exactly as it would without the
+   rule.
+
    Windowed (trigger/invariant) logs record a time slice whose sites also
    execute legitimately outside the window, so schedule enforcement is
    only meaningful for statically selected (code-based) logs: without
@@ -199,6 +225,16 @@ let rcse ?(strict = true) ~seed log =
   in
   let safe (c : World.cand) = not (pending c.World.tid c.World.sid) in
   let violated = ref false in
+  (* whether a frozen cursor cuts this attempt, and whether it has *)
+  let cuttable =
+    n > 0
+    &&
+    match Log.recorded_failure log with
+    | None | Some (Failure.Spec_violation _) -> true
+    | Some (Failure.Crash _ | Failure.Hang) -> false
+  in
+  let stalled = ref false in
+  let c_cuts = Ddet_obs.Tracer.handle "oracle.rcse_stall_cuts" in
   let cp_inputs =
     queues_of
       (List.filter_map
@@ -221,17 +257,24 @@ let rcse ?(strict = true) ~seed log =
       if p < n && pt.(p) = t && ps.(p) = s then pos := p + 1
       else if pending t s then violated := true
     | _ -> ());
-    if !violated then Some "log-divergence" else None
+    if !violated then Some "log-divergence"
+    else if !stalled then (
+      Ddet_obs.Tracer.bump c_cuts 1;
+      Some "rcse-stall")
+    else None
   in
   let pick_thread ~step:_ cands =
     let p = !pos in
     if p < n && has_cand pt.(p) ps.(p) cands then (
       note pt.(p) ps.(p);
       pt.(p))
-    else
+    else begin
+      if cuttable && p < n && pending pt.(p) (cand_sid pt.(p) cands) then
+        stalled := true;
       let c = pick_eligible rng safe cands in
       note c.World.tid c.World.sid;
       c.World.tid
+    end
   in
   let pick_input ~step:_ ~tid ~chan:_ ~domain =
     match Hashtbl.find_opt cp_inputs tid with

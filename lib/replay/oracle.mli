@@ -42,7 +42,17 @@ val value_det : seed:int -> Log.t -> handle
     invariant-driven) record a time slice, so the same sites also run
     legitimately outside the window: with [strict:false] the schedule log
     is not enforced at all — the recorded inputs are still pinned by site,
-    and the acceptance constraint judges each searched schedule. *)
+    and the acceptance constraint judges each searched schedule.
+
+    A strict attempt whose recording has no failure or a spec violation
+    is cut as soon as the head point's thread is a candidate at a pending
+    site other than the head site: that thread can never run without
+    diverging, so the run can never finish, and only a finished run can
+    match such a recording. [abort] then returns ["rcse-stall"] on the
+    next event (a violation on that event still reads
+    ["log-divergence"]), and [violated] stays false. The picks do not
+    depend on the cut. Each cut bumps the tracer counter
+    [oracle.rcse_stall_cuts]. *)
 val rcse : ?strict:bool -> seed:int -> Log.t -> handle
 
 (** [sync ~seed log] replays a sync-schedule log by enforcing *per-object*

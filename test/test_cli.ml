@@ -385,6 +385,7 @@ let report_golden =
       "  {\"name\":\"govern.transitions\",\"value\":0},";
       "  {\"name\":\"oracle.cold_pins\",\"value\":0},";
       "  {\"name\":\"oracle.cursor_stalls\",\"value\":0},";
+      "  {\"name\":\"oracle.rcse_stall_cuts\",\"value\":0},";
       "  {\"name\":\"oracle.steer_hot_picks\",\"value\":0},";
       "  {\"name\":\"record.entries.book\",\"value\":0},";
       "  {\"name\":\"record.entries.sched\",\"value\":0},";

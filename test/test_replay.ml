@@ -180,6 +180,27 @@ let test_failure_matches () =
   in
   Alcotest.(check bool) "matches itself" true (Constraints.failure_matches log r)
 
+(* a passing recording is matched by a run that ends on its own, never by
+   one an abort hook cut short, though neither carries a failure *)
+let test_failure_matches_aborted () =
+  let p =
+    program ~name:"quiet" ~regions:[] ~inputs:[] ~main:"main"
+      [ func "main" [] [ output "o" (i 1); output "o" (i 2) ] ]
+  in
+  let r, log =
+    Recorder.record (Failure_recorder.create ()) p ~spec:Spec.accept_all
+      ~world:(World.round_robin ())
+  in
+  Alcotest.(check bool) "passing run matches itself" true
+    (Constraints.failure_matches log r);
+  List.iter
+    (fun reason ->
+      let cut = Interp.run ~abort:(fun _ -> Some reason) p (World.round_robin ()) in
+      Alcotest.(check bool) "no failure" true (cut.Interp.failure = None);
+      Alcotest.(check bool) (reason ^ " does not match") false
+        (Constraints.failure_matches log cut))
+    [ "deadline"; "log-divergence"; "rcse-stall" ]
+
 (* ------------------------------------------------------------------ *)
 (* search *)
 
@@ -650,6 +671,63 @@ let test_rcse_not_strict_never_violates () =
     [ (2, 20); (1, 10); (1, 10); (1, 10); (2, 20) ];
   Alcotest.(check bool) "never violated" false (h.Oracle.violated ())
 
+(* thread 1 logs (1, 10) then (1, 11): a thread 1 sitting at site 11
+   while (1, 10) heads the log can never run without diverging *)
+let stall_entries =
+  [
+    Log.Cp_sched { tid = 1; sid = 10 };
+    Log.Cp_sched { tid = 1; sid = 11 };
+    Log.Cp_sched { tid = 2; sid = 20 };
+  ]
+
+(* one pick over [cands], then the Step of the thread it chose *)
+let pick_then_step (h : Oracle.handle) cands =
+  let tid = picks h cands in
+  let c = List.find (fun (c : World.cand) -> c.World.tid = tid) cands in
+  h.Oracle.abort (ev tid c.World.sid)
+
+let test_rcse_stall_cuts () =
+  for seed = 1 to 20 do
+    let h = Oracle.rcse ~seed (log_of stall_entries) in
+    Alcotest.(check (option string)) "frozen head cuts on the next event"
+      (Some "rcse-stall")
+      (pick_then_step h [ cand 1 11; cand 3 30 ]);
+    Alcotest.(check bool) "a cut is not a violation" false
+      (h.Oracle.violated ())
+  done
+
+let test_rcse_stall_violation_wins () =
+  let h = Oracle.rcse ~seed:1 (log_of stall_entries) in
+  Alcotest.(check (option string)) "the frozen head itself runs"
+    (Some "log-divergence")
+    (pick_then_step h [ cand 1 11 ]);
+  Alcotest.(check bool) "violated" true (h.Oracle.violated ())
+
+let test_rcse_stall_never_fires () =
+  let uncut name make cands =
+    for seed = 1 to 20 do
+      let h = make ~seed in
+      Alcotest.(check (option string)) name None (pick_then_step h cands)
+    done
+  in
+  let strict ~seed = Oracle.rcse ~seed (log_of stall_entries) in
+  uncut "head thread absent" strict [ cand 2 20; cand 3 30 ];
+  uncut "head thread at the head site" strict [ cand 1 10; cand 3 30 ];
+  uncut "not strict"
+    (fun ~seed -> Oracle.rcse ~strict:false ~seed (log_of stall_entries))
+    [ cand 1 11; cand 3 30 ];
+  List.iter
+    (fun f ->
+      let log =
+        Log.make ~recorder:"hand" ~entries:stall_entries ~base_steps:0
+          ~failure:(Some f) ()
+      in
+      uncut
+        ("recorded " ^ Failure.to_string f)
+        (fun ~seed -> Oracle.rcse ~seed log)
+        [ cand 1 11; cand 3 30 ])
+    [ Failure.Crash { sid = 40; msg = "boom" }; Failure.Hang ]
+
 let sync_log =
   log_of
     [
@@ -690,12 +768,12 @@ let golden_rows =
     "miniht sync 1 4 3299 reproduced 1 65cc4880157c3f9154ff58a6fdce1f76";
     "miniht sync 2 3 2177 reproduced 1 6fff3d80c239fb1ec70fe8f8795d356d";
     "miniht sync 3 1 822 reproduced 1 75bab8a49cde79d1042a794846f74258";
-    "miniht sync 4 60 40806 partial 0.5 075374549b07b342966ffb9d881c4f3c";
+    "miniht sync 4 60 40806 partial 0 075374549b07b342966ffb9d881c4f3c";
     "miniht sync 5 1 888 reproduced 1 328fdc60052085aafa6ae352cf3c9d51";
     "miniht sync 6 2 1537 reproduced 1 6a16d3cfa02858b190c471ffddb1125a";
     "miniht sync 7 3 2200 reproduced 1 de883480819a3fe3e01cf551ff839646";
     "miniht sync 8 5 3561 reproduced 1 629027662eacd55fd4b622ef68b9139d";
-    "miniht sync 9 60 42028 partial 0.5 a96a88ad55718b381765b6dd239bccc3";
+    "miniht sync 9 60 42028 partial 0 a96a88ad55718b381765b6dd239bccc3";
     "miniht sync 10 47 33041 reproduced 1 c083c67ffe0218f2a137447377ce01ed";
     "miniht rcse-code 1 1 795 reproduced 1 486bac8757d19ee69730f0d4aa505877";
     "miniht rcse-code 2 1 766 reproduced 1 a98eb020de563ce9ac1a810b4adae179";
@@ -703,10 +781,10 @@ let golden_rows =
     "miniht rcse-code 4 1 762 reproduced 1 977bda49b1f629c1e7cefa0101f57323";
     "miniht rcse-code 5 1 876 reproduced 1 4c963c151bc29296c05f19d69b7cb378";
     "miniht rcse-code 6 1 788 reproduced 1 9f9b93e981bd8e050e3986e63d6c638a";
-    "miniht rcse-code 7 3 20800 reproduced 1 bd36d64e15cb71ed2bbd3aadde654b58";
+    "miniht rcse-code 7 3 2092 reproduced 1 bd36d64e15cb71ed2bbd3aadde654b58";
     "miniht rcse-code 8 1 819 reproduced 1 bef1a0ba219dae402295e78854ee8c54";
-    "miniht rcse-code 9 3 20772 reproduced 1 67e80d2c8b207843aa139547f7780471";
-    "miniht rcse-code 10 5 40779 reproduced 1 4f9f5191f43e5059758fd44d8cf7d170";
+    "miniht rcse-code 9 3 2081 reproduced 1 67e80d2c8b207843aa139547f7780471";
+    "miniht rcse-code 10 5 3254 reproduced 1 4f9f5191f43e5059758fd44d8cf7d170";
     "miniht rcse-combined 1 2 1610 reproduced 1 1a7a72af08228195e61bd5d053ce5d96";
     "miniht rcse-combined 2 3 2414 reproduced 1 8f1ebb6e4cfa701ee7e8e1b249a1d2bb";
     "miniht rcse-combined 3 1 786 reproduced 1 44e831511d80be1e9376563366deb335";
@@ -757,16 +835,16 @@ let golden_rows =
     "msg_server sync 8 1 329 reproduced 1 6053496001a8ad414640c2789663be4e";
     "msg_server sync 9 1 349 reproduced 1 4d1734f2f8254b039b4bf29364fbcc7c";
     "msg_server sync 10 1 330 reproduced 1 4c6f2ec5dc5d6143831b9e3c37e7af4a";
-    "msg_server rcse-code 1 60 600000 partial 0 660375d559ffc5d7fc803bffccea6254";
-    "msg_server rcse-code 2 60 600000 partial 0 660375d559ffc5d7fc803bffccea6254";
-    "msg_server rcse-code 3 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
-    "msg_server rcse-code 4 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
-    "msg_server rcse-code 5 60 600000 partial 0 4fc1dba477ee9a4707b523b240bb35ee";
-    "msg_server rcse-code 6 60 600000 partial 0 8642f16b4d7b920b22a102a14cb78d8f";
-    "msg_server rcse-code 7 60 600000 partial 0 e2df568457c2cf4dba6e041860857671";
-    "msg_server rcse-code 8 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
-    "msg_server rcse-code 9 60 600000 partial 0 8642f16b4d7b920b22a102a14cb78d8f";
-    "msg_server rcse-code 10 60 600000 partial 0 d3b55ada3ca047b58fe92c599cda8bf2";
+    "msg_server rcse-code 1 60 4440 partial 0 53460177fef912db517bca637ab4383a";
+    "msg_server rcse-code 2 60 4440 partial 0 53460177fef912db517bca637ab4383a";
+    "msg_server rcse-code 3 60 3960 partial 0 18e8527c7699e24d12785721833ebeb2";
+    "msg_server rcse-code 4 60 3960 partial 0 18e8527c7699e24d12785721833ebeb2";
+    "msg_server rcse-code 5 60 3480 partial 0 b70ce5d3296e86aac59a2b8d3b7a81b7";
+    "msg_server rcse-code 6 60 3000 partial 0 9f55066716484040c1e27bdc4c610e37";
+    "msg_server rcse-code 7 60 2520 partial 0 41a4a90ec1ba39e953b94f4c03b31bb9";
+    "msg_server rcse-code 8 60 3960 partial 0 18e8527c7699e24d12785721833ebeb2";
+    "msg_server rcse-code 9 60 3000 partial 0 9f55066716484040c1e27bdc4c610e37";
+    "msg_server rcse-code 10 60 3960 partial 0 18e8527c7699e24d12785721833ebeb2";
     "msg_server rcse-combined 1 1 349 reproduced 1 410193885bf2f65cf7ff0a998f39f37d";
     "msg_server rcse-combined 2 1 358 reproduced 1 16b1f014f27bf3b14f184150820418d9";
     "msg_server rcse-combined 3 1 330 reproduced 1 deafe7eef47067890268f545a6c6ebc5";
@@ -786,6 +864,79 @@ let render_md5 (r : Interp.result) =
     (Trace.events r.Interp.trace);
   Format.pp_print_flush ppf ();
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* the soundness law of the RCSE stall cut. The oracle's picks ignore the
+   cut, so an attempt whose abort hook maps "rcse-stall" to None runs
+   exactly as it would without the rule: every such run the cut would
+   have ended must still not be accepted at the search's step cap. A cut
+   attempt also ends the same under the AST walker (the path that
+   re-executes a checkpoint-restored best candidate) and the compiled
+   runner. *)
+let test_rcse_stall_cut_is_sound () =
+  let open Ddet in
+  let cap = 10_000 in
+  let cuts = ref 0 in
+  List.iter
+    (fun (app : Ddet_apps.App.t) ->
+      let p = Session.prepare (Model.Rcse Model.Code_based) app in
+      let labeled = app.Ddet_apps.App.labeled and spec = app.Ddet_apps.App.spec in
+      let compiled = Interp.compile labeled in
+      let rec failing seed acc =
+        if List.length acc = 20 || seed > 500 then List.rev acc
+        else
+          let r, log = Session.record p ~seed in
+          failing (seed + 1) (if r.Interp.failure <> None then log :: acc else acc)
+      in
+      let logs =
+        failing 1 [] @ List.init 20 (fun i -> snd (Session.record p ~seed:(i + 1)))
+      in
+      List.iter
+        (fun log ->
+          for seed = 2 to 4 do
+            let h = Oracle.rcse ~seed log in
+            let cut = ref false in
+            let abort e =
+              match h.Oracle.abort e with
+              | Some "rcse-stall" ->
+                cut := true;
+                None
+              | r -> r
+            in
+            let uncut =
+              Spec.apply spec (Interp.run ~max_steps:cap ~abort labeled h.Oracle.world)
+            in
+            if !cut then begin
+              incr cuts;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed %d: the uncut run is not accepted"
+                   app.Ddet_apps.App.name seed)
+                false
+                (Constraints.failure_matches log uncut);
+              let run f =
+                let h = Oracle.rcse ~seed log in
+                f ~abort:h.Oracle.abort h.Oracle.world
+              in
+              let walked =
+                run (fun ~abort w -> Interp.run ~max_steps:cap ~abort labeled w)
+              and ran =
+                run (fun ~abort w ->
+                    Interp.run_compiled ~max_steps:cap ~abort compiled w)
+              in
+              Alcotest.(check string) "same status"
+                (Interp.status_to_string walked.Interp.status)
+                (Interp.status_to_string ran.Interp.status);
+              Alcotest.(check bool) "aborted, no later than the uncut run" true
+                ((match walked.Interp.status with
+                  | Interp.Aborted _ -> true
+                  | _ -> false)
+                && walked.Interp.steps <= uncut.Interp.steps);
+              Alcotest.(check bool) "same trace" true
+                (Trace.events walked.Interp.trace = Trace.events ran.Interp.trace)
+            end
+          done)
+        logs)
+    Ddet_apps.[ Miniht.app (); Cloudstore.app (); Msg_server.app () ];
+  Alcotest.(check bool) "the law is not vacuous" true (!cuts > 0)
 
 let test_golden_outcomes () =
   let open Ddet in
@@ -827,6 +978,15 @@ let test_golden_outcomes () =
           models)
       apps
   in
+  let rec print_diffs = function
+    | o :: os, r :: rs ->
+      if not (String.equal o r) then Printf.eprintf "%s -> %s\n" o r;
+      print_diffs (os, rs)
+    | os, rs ->
+      List.iter (Printf.eprintf "%s -> (missing)\n") os;
+      List.iter (Printf.eprintf "(missing) -> %s\n") rs
+  in
+  print_diffs (golden_rows, rows);
   Alcotest.(check (list string)) "outcomes match the pinned table" golden_rows
     rows
 
@@ -850,6 +1010,8 @@ let () =
           Alcotest.test_case "prefix abort fires" `Quick test_output_prefix_abort_fires;
           Alcotest.test_case "prefix accepts own trace" `Quick test_output_prefix_accepts_match;
           Alcotest.test_case "failure matches" `Quick test_failure_matches;
+          Alcotest.test_case "an aborted run never matches a passing one" `Quick
+            test_failure_matches_aborted;
         ] );
       ( "search",
         [
@@ -905,6 +1067,12 @@ let () =
             test_rcse_last_occurrence_consumed;
           Alcotest.test_case "non-strict never violates" `Quick
             test_rcse_not_strict_never_violates;
+          Alcotest.test_case "frozen head cuts the attempt" `Quick
+            test_rcse_stall_cuts;
+          Alcotest.test_case "a violation wins over the cut" `Quick
+            test_rcse_stall_violation_wins;
+          Alcotest.test_case "the cut fires nowhere else" `Quick
+            test_rcse_stall_never_fires;
           Alcotest.test_case "unlogged send aborts" `Quick
             test_sync_unlogged_send_aborts;
           Alcotest.test_case "try_recv of a non-consumer misses" `Quick
@@ -914,5 +1082,7 @@ let () =
         [
           Alcotest.test_case "sync and rcse outcomes pinned" `Slow
             test_golden_outcomes;
+          Alcotest.test_case "the rcse stall cut never loses an acceptance"
+            `Slow test_rcse_stall_cut_is_sound;
         ] );
     ]
